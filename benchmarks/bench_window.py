@@ -3,11 +3,11 @@
 Per-event ingestion pays one full backend entry -- and one O(T) FPL
 recomputation per cohort -- per time point.  Windowed ingestion
 (:meth:`ReleaseSession.ingest_window`) applies a whole window per entry
-and advances all window prefixes through one batched backward sweep per
-cohort, so the Python round-trips drop from O(window x T) to
-O(T + window).  The numbers must not move at all: every window size
-produces the same events and a bit-identical max TPL (the windowed parity
-suite enforces the same property-based).
+and advances all window prefixes of all cohorts through one global
+batched backward sweep, so the Python round-trips drop from
+O(window x T) to O(T + window).  The numbers must not move at all:
+every window size produces the same events and a bit-identical max TPL
+(the windowed parity suite enforces the same property-based).
 
 The acceptance bar: >= 5x events/sec at window=64 vs window=1 on the
 fleet backend at 10^4 users.  Results are emitted to ``BENCH_window.json``.
@@ -22,38 +22,20 @@ or as part of the benchmark harness::
 """
 
 import argparse
-import json
-import os
 import time
-import warnings
-
-import numpy as np
 
 from _harness import emit_json, population
-from repro.fleet import FleetAccountant
 from repro.service import ReleaseSession, ReleaseWindow, SessionConfig
 
 WINDOW_SIZES = (1, 8, 64, 256)
 TARGET_SPEEDUP = 5.0
-CROSS_COHORT_TARGET = 3.0
-CLAMP_PROBE_TARGET = 2.0
 JSON_PATH = "BENCH_window.json"
 
 
-def emit_stage(stage: str, summary: dict, path: str = JSON_PATH) -> str:
-    """Merge ``summary`` into ``path`` under ``stages[stage]`` so the
-    three stages of this benchmark accumulate into one JSON file
-    regardless of which test ran first."""
-    merged = {}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                merged = json.load(handle)
-        except (OSError, ValueError):
-            merged = {}
-    stages = merged.setdefault("stages", {})
-    stages[stage] = summary
-    return emit_json(merged, path)
+def emit_stage(summary: dict, path: str = JSON_PATH) -> str:
+    """Write ``summary`` to ``path`` under ``stages.windowed_ingestion``,
+    the shape readers of ``BENCH_window.json`` expect."""
+    return emit_json({"stages": {"windowed_ingestion": summary}}, path)
 
 
 def run_windowed(population, steps: int, epsilon: float, window: int):
@@ -154,158 +136,10 @@ def test_window_speedup_and_parity(show_table):
     thresholds (>= 5x at window=64, bit-identical max TPL everywhere)."""
     summary = compare(users=2_000, cohorts=8, steps=192, windows=(1, 8, 64))
     show_table(format_table(summary))
-    emit_stage("windowed_ingestion", summary)
+    emit_stage(summary)
     for row in summary["results"]:
         assert row["tpl_gap_vs_window1"] == 0.0
     assert _row(summary, 64)["speedup_vs_window1"] >= TARGET_SPEEDUP
-
-
-# ---------------------------------------------------------------------------
-# Stage 2: cross-cohort batching -- digest-batched sweep vs per-cohort loop
-# ---------------------------------------------------------------------------
-def run_cross_cohort(pop, budgets, cross_cohort: bool):
-    """Time one windowed ingestion on a fresh engine with the
-    cross-cohort fusion toggled; returns (per-step worsts, seconds)."""
-    fleet = FleetAccountant(pop)
-    fleet.cross_cohort = cross_cohort
-    start = time.perf_counter()
-    worsts = fleet.add_window(budgets)
-    return worsts, time.perf_counter() - start
-
-
-def compare_cross_cohort(
-    users: int = 512, cohorts: int = 256, states: int = 2, steps: int = 16,
-    seed: int = 0,
-) -> dict:
-    """Many small distinct-digest cohorts: the per-cohort loop pays one
-    solver entry per cohort per sweep step, the fused path one stacked
-    entry per sweep step.  Same floats either way."""
-    pop = population(users, cohorts, states, seed)
-    budgets = [0.1 + 0.01 * (i % 5) for i in range(steps)]
-    run_cross_cohort(pop, budgets[:2], True)  # warm-up: imports, allocators
-    fused, fused_s = run_cross_cohort(pop, budgets, True)
-    serial, serial_s = run_cross_cohort(pop, budgets, False)
-    return {
-        "users": users,
-        "cohorts": cohorts,
-        "states": states,
-        "steps": steps,
-        "fused_seconds": fused_s,
-        "serial_seconds": serial_s,
-        "speedup": serial_s / max(fused_s, 1e-12),
-        "bit_identical": bool(np.array_equal(fused, serial)),
-        "target_speedup": CROSS_COHORT_TARGET,
-    }
-
-
-def format_cross_cohort(summary: dict) -> str:
-    return (
-        f"cross-cohort batched sweep vs per-cohort loop -- "
-        f"{summary['users']} users, {summary['cohorts']} cohorts, "
-        f"{summary['states']} states, window={summary['steps']}\n"
-        f"  fused {summary['fused_seconds']:.3f}s   "
-        f"serial {summary['serial_seconds']:.3f}s   "
-        f"speedup {summary['speedup']:.2f}x "
-        f"(target >= {summary['target_speedup']:g}x, bit-identical "
-        f"{summary['bit_identical']})"
-    )
-
-
-def test_cross_cohort_speedup_and_parity(show_table):
-    summary = compare_cross_cohort()
-    show_table(format_cross_cohort(summary))
-    emit_stage("cross_cohort", summary)
-    assert summary["bit_identical"]
-    assert summary["speedup"] >= CROSS_COHORT_TARGET
-
-
-# ---------------------------------------------------------------------------
-# Stage 3: alpha clamping -- batched dyadic probe tree vs serial bisection
-# ---------------------------------------------------------------------------
-def run_clamped(pop, budgets, alpha: float, batched: bool):
-    """Time a clamp-heavy stream; returns (events, seconds)."""
-    session = ReleaseSession(
-        SessionConfig(
-            correlations=pop,
-            budgets=0.1,  # overridden per ingest
-            alpha=alpha,
-            alpha_mode="clamp",
-            backend="fleet",
-        )
-    )
-    session._clamp_batched = batched
-    start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for epsilon in budgets:
-            session.ingest(epsilon=epsilon)
-    elapsed = time.perf_counter() - start
-    return session.events, elapsed
-
-
-def compare_clamp_probe(
-    users: int = 256, cohorts: int = 64, states: int = 2, steps: int = 12,
-    alpha: float = 0.8, seed: int = 0,
-) -> dict:
-    """Every step requests more budget than alpha admits, so every step
-    runs the full clamp bisection: ~20 backend probe entries serially,
-    ~5 batched ``probe_scales`` round-trips.  (After the first step
-    clamps to the budget boundary the rest reject -- but a rejection in
-    clamp mode is decided by the same full bisection, so every step
-    measures the probe loop.)"""
-    pop = population(users, cohorts, states, seed)
-    budgets = [0.5 + 0.05 * (i % 4) for i in range(steps)]
-    run_clamped(pop, budgets[:1], alpha, True)  # warm-up
-    batched_events, batched_s = run_clamped(pop, budgets, alpha, True)
-    serial_events, serial_s = run_clamped(pop, budgets, alpha, False)
-    identical = len(batched_events) == len(serial_events) and all(
-        a.payload() == b.payload()
-        for a, b in zip(batched_events, serial_events)
-    )
-    clamped = sum(1 for e in batched_events if e.status == "clamped")
-    return {
-        "users": users,
-        "cohorts": cohorts,
-        "states": states,
-        "steps": steps,
-        "alpha": alpha,
-        "clamped_steps": clamped,
-        "probed_steps": sum(
-            1
-            for e in batched_events
-            if e.status in ("clamped", "rejected")
-        ),
-        "batched_seconds": batched_s,
-        "serial_seconds": serial_s,
-        "speedup": serial_s / max(batched_s, 1e-12),
-        "events_identical": bool(identical),
-        "target_speedup": CLAMP_PROBE_TARGET,
-    }
-
-
-def format_clamp_probe(summary: dict) -> str:
-    return (
-        f"batched vs serial clamp probing -- {summary['users']} users, "
-        f"{summary['cohorts']} cohorts, {summary['steps']} steps "
-        f"({summary['clamped_steps']} clamped), alpha={summary['alpha']:g}\n"
-        f"  batched {summary['batched_seconds']:.3f}s   "
-        f"serial {summary['serial_seconds']:.3f}s   "
-        f"speedup {summary['speedup']:.2f}x "
-        f"(target >= {summary['target_speedup']:g}x, events identical "
-        f"{summary['events_identical']})"
-    )
-
-
-def test_clamp_probe_speedup_and_parity(show_table):
-    summary = compare_clamp_probe()
-    show_table(format_clamp_probe(summary))
-    emit_stage("clamp_probe", summary)
-    assert summary["clamped_steps"] >= 1
-    # The first request fits outright; every later one runs a full
-    # clamp bisection (clamped or rejected), which is what we time.
-    assert summary["probed_steps"] >= summary["steps"] - 1
-    assert summary["events_identical"]
-    assert summary["speedup"] >= CLAMP_PROBE_TARGET
 
 
 def main() -> None:
@@ -335,13 +169,7 @@ def main() -> None:
         windows=tuple(args.windows),
     )
     print(format_table(summary))
-    emit_stage("windowed_ingestion", summary, args.output)
-    cross = compare_cross_cohort()
-    print(format_cross_cohort(cross))
-    emit_stage("cross_cohort", cross, args.output)
-    clamp = compare_clamp_probe()
-    print(format_clamp_probe(clamp))
-    path = emit_stage("clamp_probe", clamp, args.output)
+    path = emit_stage(summary, args.output)
     print(f"results written to {path}")
 
 

@@ -18,7 +18,6 @@ from .algorithm1 import (
     PairSolution,
     max_log_ratio,
     max_log_ratio_batch,
-    max_log_ratio_grid,
     max_log_ratio_stacked,
     solve_lfp_algorithm1,
     solve_pair,
@@ -65,7 +64,6 @@ __all__ = [
     "PairSolution",
     "max_log_ratio",
     "max_log_ratio_batch",
-    "max_log_ratio_grid",
     "max_log_ratio_stacked",
     "solve_lfp_algorithm1",
     "solve_pair",

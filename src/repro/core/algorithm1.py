@@ -46,7 +46,6 @@ __all__ = [
     "max_log_ratio",
     "max_log_ratio_batch",
     "max_log_ratio_stacked",
-    "max_log_ratio_grid",
 ]
 
 
@@ -241,86 +240,28 @@ def _max_log_ratio_impl(
     return best_value, pair
 
 
-#: Soft cap on the ``alphas x pairs x n`` work arrays of
-#: :func:`max_log_ratio_batch`; larger inputs are processed in chunks.
+#: Soft cap on the ``alphas x pairs x n`` work arrays of the batched
+#: solvers; larger inputs are processed in chunks.
 _BATCH_CHUNK_ELEMENTS = 4_000_000
 
 
 def max_log_ratio_batch(matrix, alphas) -> np.ndarray:
     """Vectorised :func:`max_log_ratio` over a whole *vector* of alphas.
+
+    Evaluating the temporal loss function at ``A`` different incoming
+    leakage values runs the same deletion sweep as :func:`max_log_ratio`
+    on ``(A, pairs, n)`` arrays -- the one-job case of
+    :func:`max_log_ratio_stacked`, with bit-identical results to the
+    scalar path (same subset-selection rule, same tie-breaking, same
+    ``math.expm1``).  ``alphas`` is 1-D, each value finite and ``>= 0``;
+    the result has the same shape.
+
     A batch of ``A`` alphas counts ``A`` towards
     ``solver.algorithm1.solves`` when solver metrics are installed (see
     :func:`max_log_ratio`) -- instrumented and per-alpha scalar calls
     report comparable totals.
     """
-    registry = solver_metrics()
-    if registry is None:
-        return _max_log_ratio_batch_impl(matrix, alphas)
-    start = time.perf_counter()
-    try:
-        return _max_log_ratio_batch_impl(matrix, alphas)
-    finally:
-        registry.histogram("solver.algorithm1.seconds").observe(
-            time.perf_counter() - start
-        )
-        registry.counter("solver.algorithm1.solves").inc(
-            int(np.asarray(alphas, dtype=float).size)
-        )
-
-
-def _max_log_ratio_batch_impl(matrix, alphas) -> np.ndarray:
-    """Uninstrumented :func:`max_log_ratio_batch` body.
-
-    Evaluating the temporal loss function at ``A`` different incoming
-    leakage values runs the same deletion sweep as :func:`max_log_ratio`
-    on ``(A, pairs, n)`` arrays, so a fleet engine can advance the BPL/FPL
-    recursions of many users (or cohorts) in one numpy pass instead of
-    ``A`` Python round-trips.  Results match the scalar path to float
-    round-off (same subset-selection rule, same tie-breaking).
-
-    Parameters
-    ----------
-    matrix:
-        Transition matrix (``P_B`` for ``L_B``, ``P_F`` for ``L_F``).
-    alphas:
-        1-D array of incoming leakage values, each ``>= 0``.
-
-    Returns
-    -------
-    Array of the same shape with ``L(alpha)`` per entry.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError("alphas must be a 1-D array")
-    if alphas.size == 0:
-        return np.zeros(0)
-    if np.any(alphas < 0) or not np.all(np.isfinite(alphas)):
-        raise InvalidPrivacyParameterError("all alphas must be finite and >= 0")
-    p = as_transition_matrix(matrix).array
-    n = p.shape[0]
-    out = np.zeros_like(alphas)
-    # math.expm1 (C libm) rather than np.expm1 (SIMD): the two can differ
-    # in the last ulp, and this function's contract is bit-identical
-    # results with the scalar max_log_ratio path.
-    e_all = np.array([math.expm1(a) for a in alphas.tolist()])
-    nonzero = e_all > 0.0
-    if n == 1 or not nonzero.any():
-        return out
-
-    j_idx, k_idx = np.where(~np.eye(n, dtype=bool))
-    q_rows = p[j_idx]  # shape (pairs, n)
-    d_rows = p[k_idx]
-    base_mask = q_rows > d_rows  # Corollary 2 candidates
-    if not base_mask.any():
-        return out
-
-    work = np.flatnonzero(nonzero)
-    per_alpha = base_mask.size
-    chunk = max(1, _BATCH_CHUNK_ELEMENTS // per_alpha)
-    for lo in range(0, work.size, chunk):
-        sel = work[lo : lo + chunk]
-        out[sel] = _batch_sweep(q_rows, d_rows, base_mask, e_all[sel])
-    return out
+    return max_log_ratio_stacked([(matrix, alphas)])[0]
 
 
 def _batch_sweep(
@@ -329,30 +270,17 @@ def _batch_sweep(
     base_mask: np.ndarray,
     e: np.ndarray,
 ) -> np.ndarray:
-    """One chunk of the batched solvers: the deletion sweep on
-    ``(A, pairs, n)`` arrays for ``A = len(e)`` strictly positive
-    ``e^alpha - 1`` values.
+    """One chunk of the batched solvers: the deletion sweep on stacked
+    ``(A, pairs, n)`` arrays carrying one (possibly different) matrix per
+    entry, for ``A = len(e)`` strictly positive ``e^alpha - 1`` values.
 
-    ``q_rows`` / ``d_rows`` / ``base_mask`` are either ``(pairs, n)`` --
-    one matrix shared by every alpha, the :func:`max_log_ratio_batch`
-    contract -- or already stacked ``(A, pairs, n)`` arrays carrying one
-    (possibly different) matrix per alpha, the
-    :func:`max_log_ratio_stacked` contract.  Each entry's deletion
-    sequence is independent of the rest of the batch: the shared
-    while-loop only decides how many extra sweeps a converged entry sits
-    through, and a stable subset reproduces its sums (and therefore its
-    value) identically on every extra sweep, so results are bit-identical
-    regardless of how entries are chunked or mixed."""
-    a = e.shape[0]
-    if q_rows.ndim == 2:
-        # Broadcast views multiply elementwise exactly like the stacked
-        # copies would; no float op differs between the two layouts.
-        q_rows = np.broadcast_to(q_rows, (a,) + q_rows.shape)
-        d_rows = np.broadcast_to(d_rows, (a,) + d_rows.shape)
-    if base_mask.ndim == 2:
-        mask = np.broadcast_to(base_mask, (a,) + base_mask.shape).copy()
-    else:
-        mask = base_mask.copy()
+    Each entry's deletion sequence is independent of the rest of the
+    batch: the shared while-loop only decides how many extra sweeps a
+    converged entry sits through, and a stable subset reproduces its sums
+    (and therefore its value) identically on every extra sweep, so
+    results are bit-identical regardless of how entries are chunked or
+    mixed."""
+    mask = base_mask.copy()
     active = mask.any(axis=2)  # (A, pairs)
     while True:
         q_sums = (q_rows * mask).sum(axis=2)
@@ -383,7 +311,8 @@ def max_log_ratio_stacked(jobs) -> list:
     solver entry per chunk instead of one per cohort.  Per-entry
     independence of :func:`_batch_sweep` makes each job's results
     bit-identical to a standalone ``max_log_ratio_batch(matrix, alphas)``
-    call.  Counts the total number of alphas towards
+    call, and every value bit-identical to the scalar
+    :func:`max_log_ratio`.  Counts the total number of alphas towards
     ``solver.algorithm1.solves`` when solver metrics are installed.
 
     Parameters
@@ -447,8 +376,10 @@ def _max_log_ratio_stacked_impl(jobs) -> list:
     m_all = q_all > d_all  # Corollary 2 candidates, per job
     any_candidates = m_all.any(axis=(1, 2))
 
-    # Flat work list of (job, position, e^alpha - 1); same math.expm1
-    # bit-identity contract as max_log_ratio_batch.
+    # Flat work list of (job, position, e^alpha - 1).  math.expm1 (C
+    # libm) rather than np.expm1 (SIMD): the two can differ in the last
+    # ulp, and the contract is bit-identical results with the scalar
+    # max_log_ratio path.
     entries = []
     expm1 = math.expm1
     for ji, (_, alphas) in enumerate(prepared):
@@ -472,40 +403,3 @@ def _max_log_ratio_stacked_impl(jobs) -> list:
             outs[ji][ai] = value
     return outs
 
-
-def max_log_ratio_grid(matrix, alphas, cache=None) -> np.ndarray:
-    """:func:`max_log_ratio_batch` over a grid with cache warm-start.
-
-    Deduplicates the grid, answers what ``cache`` (a
-    :class:`~repro.fleet.solution_cache.SolutionCache`, or anything with
-    ``get``/``put``) already knows under the fleet engine's
-    ``(digest, value, "batch")`` keys, solves only the missing values in
-    one batched sweep, and memoises the new solutions.  With
-    ``cache=None`` this is exactly ``max_log_ratio_batch``.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError("alphas must be a 1-D array")
-    if cache is None:
-        return max_log_ratio_batch(matrix, alphas)
-    if alphas.size == 0:
-        return np.zeros(0)
-    if np.any(alphas < 0) or not np.all(np.isfinite(alphas)):
-        raise InvalidPrivacyParameterError("all alphas must be finite and >= 0")
-    matrix = as_transition_matrix(matrix)
-    digest = matrix.digest
-    unique, inverse = np.unique(alphas, return_inverse=True)
-    results = np.empty_like(unique)
-    missing = []
-    for i, value in enumerate(unique.tolist()):
-        hit = cache.get((digest, value, "batch"))
-        if hit is None:
-            missing.append(i)
-        else:
-            results[i] = hit
-    if missing:
-        computed = max_log_ratio_batch(matrix, unique[missing])
-        for i, value in zip(missing, computed.tolist()):
-            results[i] = value
-            cache.put((digest, float(unique[i]), "batch"), value)
-    return results[inverse]

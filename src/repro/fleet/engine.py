@@ -14,9 +14,12 @@ and the budget schedule -- so every user sharing a ``(P_B, P_F)`` pair
 * each cohort runs **one** ``(T,)``-shaped recursion, broadcast over its
   members -- O(cohorts x T) instead of O(users x T);
 * users with *per-user epsilon overrides* (personalised budgets) are
-  carried on a batched ``(members, T)`` array path driven by
-  :func:`repro.core.algorithm1.max_log_ratio_batch`;
-* all Algorithm-1 solves funnel through one bounded
+  carried as their own rows, advanced batched with the cohort's other
+  override members;
+* every batched loss evaluation -- BPL extension, window sweep, probe
+  sweep, override FPL -- funnels through
+  :func:`repro.core.algorithm1.max_log_ratio_stacked`, fused across
+  cohorts, and the memoised ones through one bounded
   :class:`~repro.fleet.solution_cache.SolutionCache`.
 
 The public query surface (``add_release`` / ``profile`` / ``max_tpl`` /
@@ -30,11 +33,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.algorithm1 import (
-    max_log_ratio_batch,
-    max_log_ratio_grid,
-    max_log_ratio_stacked,
-)
+from ..core.algorithm1 import max_log_ratio_stacked
 from ..core.budget import validate_epsilon
 from ..core.leakage import (
     LeakageProfile,
@@ -158,10 +157,6 @@ class FleetAccountant:
         self._alpha = alpha
         self._registry = registry if registry is not None else NULL_REGISTRY
         self._cache = cache if cache is not None else SolutionCache()
-        #: Advance / sweep all cohorts through shared cross-cohort
-        #: stacked solves (bit-identical to the per-cohort loop, which
-        #: stays available as the parity/benchmark reference).
-        self.cross_cohort = True
         self._index = CohortIndex()
         self._states: Dict[str, _CohortState] = {}
         self._user_start: Dict[Hashable, int] = {}
@@ -283,7 +278,7 @@ class FleetAccountant:
         start = self.horizon
         self._epsilons.append(epsilon)
         try:
-            self._extend_step(epsilon, overrides)
+            self._extend_all(epsilon, overrides)
             worst = self.max_tpl()
         except BaseException:
             self._truncate_to(start)
@@ -293,31 +288,6 @@ class FleetAccountant:
             raise InvalidPrivacyParameterError(
                 f"release of eps={epsilon} would raise TPL to {worst:.6f} "
                 f"> alpha={self._alpha}"
-            )
-        return worst
-
-    def add_releases(self, epsilons: Iterable[float]) -> float:
-        """Record many releases at once and return the final worst-case
-        TPL.  With an ``alpha`` bound this is equivalent to (but faster
-        than) repeated :meth:`add_release` because the fleet maximum TPL
-        is non-decreasing in the horizon -- except that on violation the
-        *whole batch* is rolled back."""
-        epsilons = [validate_epsilon(e) for e in epsilons]
-        start = self.horizon
-        try:
-            for eps in epsilons:
-                self._epsilons.append(eps)
-                self._extend_step(eps, {})
-            worst = self.max_tpl()
-        except BaseException:
-            self._truncate_to(start)
-            raise
-        if self._alpha is not None and worst > self._alpha + 1e-12:
-            for _ in epsilons:
-                self.rollback_last()
-            raise InvalidPrivacyParameterError(
-                f"batch of {len(epsilons)} releases would raise TPL to "
-                f"{worst:.6f} > alpha={self._alpha}"
             )
         return worst
 
@@ -334,12 +304,12 @@ class FleetAccountant:
         Element ``i`` of the result is *bit-identical* to what the
         ``i``-th of ``K`` sequential :meth:`add_release` calls would have
         returned, but the FPL recomputation -- the per-event hot path,
-        one O(T) Python recursion per cohort per step -- collapses into a
-        single backward sweep per cohort over a stacked
-        ``(members, prefixes)`` array: every window step's prefix
-        recursion advances in lock-step through one batched loss
-        evaluation per time point (:meth:`_loss_batch`), so the Python
-        round-trips drop from O(K x T) to O(T + K) per cohort.
+        one O(T) Python recursion per row per step -- collapses into a
+        single global backward sweep over a stacked ``(rows, prefixes)``
+        array (:meth:`_window_worsts`): every window step's prefix
+        recursion advances in lock-step through one fused loss
+        evaluation per time point, so the Python round-trips drop from
+        O(K x T) to O(T + K).
 
         Parameters
         ----------
@@ -353,9 +323,8 @@ class FleetAccountant:
         ------
         InvalidPrivacyParameterError:
             With an ``alpha`` bound, when any step of the window would
-            violate it; the **whole window** is rolled back first (same
-            batch semantics as :meth:`add_releases`).  Validation errors
-            are raised before any state is touched.
+            violate it; the **whole window** is rolled back first.
+            Validation errors are raised before any state is touched.
         """
         epsilons = [validate_epsilon(e) for e in epsilons]
         if overrides is None:
@@ -376,16 +345,16 @@ class FleetAccountant:
             return np.zeros(0)
 
         # Apply the window: BPL is inherently sequential in t, but each
-        # step is one memoised scalar evaluation per group plus one
-        # batched evaluation per cohort with overrides -- identical
-        # operations, in identical order, to K add_release calls.
+        # step is one fused evaluation over every group and override
+        # member -- identical operations, in identical order, to K
+        # add_release calls.
         start = self.horizon
         try:
             for epsilon, step_overrides in zip(epsilons, per_step):
                 for user in step_overrides:
                     self._ensure_override(user)
                 self._epsilons.append(epsilon)
-                self._extend_step(epsilon, step_overrides)
+                self._extend_all(epsilon, step_overrides)
             with self._registry.span("fleet.window_worsts.seconds"):
                 worsts = self._window_worsts(len(epsilons))
         except BaseException:
@@ -416,19 +385,6 @@ class FleetAccountant:
         state.overrides[user] = series
         state._override_fpl_key = None
 
-    def _extend_step(
-        self, epsilon: float, overrides: Mapping[Hashable, float]
-    ) -> None:
-        """Advance every cohort by one release: cross-cohort batched by
-        default, per-cohort (:meth:`_extend_cohort`) when
-        ``cross_cohort`` is off -- the two paths append bit-identical
-        floats (parity-pinned)."""
-        if self.cross_cohort:
-            self._extend_all(epsilon, overrides)
-        else:
-            for state in self._states.values():
-                self._extend_cohort(state, epsilon, overrides)
-
     def _extend_all(
         self, epsilon: float, overrides: Mapping[Hashable, float]
     ) -> None:
@@ -438,9 +394,10 @@ class FleetAccountant:
         all cohorts -- are bucketed by backward-matrix digest and
         evaluated through :meth:`_loss_batch_multi`, which fuses the
         buckets into shared stacked solver entries.  Appends the exact
-        floats :meth:`_extend_cohort` would: the batched solver matches
-        the scalar loss path bit-for-bit (an invariant the parity suites
-        pin), and the appended sums are the same scalar adds.
+        floats of the BPL recursion (Eq. 13) in :mod:`repro.core`: the
+        batched solver matches the scalar loss path bit-for-bit (an
+        invariant the parity suites pin), and the appended sums are the
+        same scalar adds.
         """
         jobs: List[Tuple[Optional[TemporalLossFunction], List[float]]] = []
         sinks: List[list] = []
@@ -478,36 +435,6 @@ class FleetAccountant:
                     target.eps.append(eps_u)
                     target.bpl.append(increment + eps_u)
                     state._override_fpl_key = None
-
-    def _extend_cohort(
-        self,
-        state: _CohortState,
-        epsilon: float,
-        overrides: Mapping[Hashable, float],
-    ) -> None:
-        # Default groups: one scalar loss evaluation each (memoised).
-        for group in state.groups.values():
-            previous = group.bpl[-1] if group.bpl else 0.0
-            increment = (
-                state.loss_b(previous) if state.loss_b is not None else 0.0
-            )
-            group.bpl.append(increment + epsilon)
-        # Override members: one batched loss evaluation for the cohort.
-        if state.overrides:
-            users = list(state.overrides)
-            previous = np.array(
-                [
-                    state.overrides[u].bpl[-1] if state.overrides[u].bpl else 0.0
-                    for u in users
-                ]
-            )
-            increments = self._loss_batch(state.loss_b, previous)
-            for i, user in enumerate(users):
-                series = state.overrides[user]
-                eps_u = float(overrides.get(user, epsilon))
-                series.eps.append(eps_u)
-                series.bpl.append(float(increments[i]) + eps_u)
-            state._override_fpl_key = None
 
     def _truncate_to(self, horizon: int) -> None:
         """Restore the exact accounting state at ``horizon`` after a
@@ -587,7 +514,7 @@ class FleetAccountant:
         same exact max with the same ``0.0`` floor as :meth:`max_tpl`.
 
         Override users still carried in a default group are *virtually*
-        split out for the probe (the serial path converts them
+        split out for the probe (:meth:`add_release` converts them
         permanently via :meth:`_ensure_override`; the conversion is
         numerically neutral, so skipping it here preserves parity).
         """
@@ -702,28 +629,22 @@ class FleetAccountant:
         return worsts
 
     # ------------------------------------------------------------------
-    # Batched loss evaluation (the (members, T) array path)
+    # Batched loss evaluation
     # ------------------------------------------------------------------
-    def _loss_batch(
-        self, loss: Optional[TemporalLossFunction], values: np.ndarray
-    ) -> np.ndarray:
-        """Evaluate ``L`` elementwise over ``values`` with deduplication
-        and LRU memoisation (namespaced so batch entries never collide
-        with the scalar ``(value, pair)`` entries)."""
-        if loss is None:
-            return np.zeros_like(values)
-        # Keys carry the *exact* float (matching the scalar loss memo):
-        # rounding conflated distinct alphas and made cached values
-        # depend on evaluation order.
-        return max_log_ratio_grid(loss.matrix, values, cache=self._cache)
-
     def _loss_batch_multi(self, jobs, use_cache: bool = True) -> List[np.ndarray]:
-        """Many :meth:`_loss_batch` jobs -- ``(loss-or-None, values)``
-        pairs -- with the cache-missing solves of *all* jobs fused into
-        shared stacked sweeps (:func:`max_log_ratio_stacked`, one group
-        per matrix size).  Per-job results are bit-identical to separate
-        :meth:`_loss_batch` calls; the fusion only changes how many
-        solver entries the fleet pays per step.
+        """Evaluate ``L`` elementwise for many ``(loss-or-None, values)``
+        jobs (``None`` evaluates to zeros), with the solves of *all* jobs
+        fused into shared stacked sweeps (:func:`max_log_ratio_stacked`,
+        one group per matrix size).  Per-job results are bit-identical
+        to the scalar loss path; the fusion only changes how many solver
+        entries the fleet pays per step.
+
+        By default values are deduplicated and memoised in the
+        :class:`SolutionCache` under ``(digest, value, "batch")`` keys,
+        namespaced so batch entries never collide with the scalar
+        ``(digest, value)`` entries.  Keys carry the *exact* float
+        (matching the scalar loss memo): rounding conflated distinct
+        alphas and made cached values depend on evaluation order.
 
         ``use_cache=False`` skips the dedup + LRU memoisation entirely
         and solves every value raw.  The backward window/probe sweeps
@@ -950,20 +871,9 @@ class FleetAccountant:
 
     def _window_worsts(self, window: int) -> np.ndarray:
         """Per-step worst-case TPL of the last ``window`` releases, for
-        all cohorts, computed after the whole window has been applied.
-        Dispatches to the cross-cohort global sweep
-        (:meth:`_window_worsts_grouped`) or the per-cohort reference
-        (:meth:`_window_worsts_serial`); both leave every group's and
-        override member's FPL cache populated with the full-horizon
-        series, so the next :meth:`max_tpl` / :meth:`profile` query is
-        free, and both return bit-identical series (parity-pinned)."""
-        if self.cross_cohort:
-            return self._window_worsts_grouped(window)
-        return self._window_worsts_serial(window)
-
-    def _window_worsts_grouped(self, window: int) -> np.ndarray:
-        """Cross-cohort :meth:`_window_worsts_serial`: one *global*
-        backward sweep advances every group and override member of every
+        all cohorts, computed after the whole window has been applied:
+        one *global* backward sweep advances every window prefix's FPL
+        recursion (Eq. 15) for every group and override member of every
         cohort in lock-step.
 
         At global time point ``g`` the first window prefix covering it
@@ -973,9 +883,13 @@ class FleetAccountant:
         evaluations are bucketed by forward-matrix digest and fused
         across buckets into stacked solves (:meth:`_loss_batch_multi`),
         collapsing the solver entries per window from O(cohorts x T) to
-        O(T).  Bit-identical to the serial path: per-entry independence
-        of the stacked solver, the same elementwise adds on the same
-        floats, and an exact max over the same multiset of TPL values.
+        O(T).  Bit-identical to running
+        :func:`~repro.core.leakage.forward_privacy_leakage` per row per
+        prefix: per-entry independence of the stacked solver, the same
+        elementwise adds on the same floats, and an exact max over the
+        same multiset of TPL values.  As a side effect every group's and
+        override member's FPL cache holds the full-horizon series, so the
+        next :meth:`max_tpl` / :meth:`profile` query is free.
         """
         horizon = len(self._epsilons)
         base_all = horizon - window
@@ -1051,7 +965,7 @@ class FleetAccountant:
                         worsts[first:], tpl.max(axis=0), out=worsts[first:]
                     )
 
-        # Refresh the FPL caches exactly as the serial path does.
+        # Refresh the FPL caches with the final prefix's series.
         out_map: Dict[int, Dict[Hashable, np.ndarray]] = {
             id(state): {} for state in override_states
         }
@@ -1075,114 +989,11 @@ class FleetAccountant:
             )
         return worsts
 
-    def _window_worsts_serial(self, window: int) -> np.ndarray:
-        """Per-cohort reference implementation of :meth:`_window_worsts`.
-
-        One :meth:`_prefix_sweep` per group / per override join time
-        replaces ``window`` separate O(T) FPL recursions; as a side
-        effect the sweeps leave every group's and override member's FPL
-        cache populated with the full-horizon series, so the next
-        :meth:`max_tpl` / :meth:`profile` query is free.
-        """
-        horizon = len(self._epsilons)
-        base_all = horizon - window
-        worsts = np.zeros(window)
-        eps_all = np.asarray(self._epsilons, dtype=float)
-        for state in self._states.values():
-            for group in state.groups.values():
-                eps = eps_all[group.start :]
-                if eps.size == 0:
-                    continue
-                bpl = np.asarray(group.bpl, dtype=float)
-                contrib, fpl_final = self._prefix_sweep(
-                    state,
-                    eps[None, :],
-                    bpl[None, :],
-                    base_all - group.start,
-                    window,
-                )
-                np.maximum(worsts, contrib, out=worsts)
-                group._fpl = fpl_final[0]
-                group._fpl_key = eps.tobytes()
-            if state.overrides:
-                out: Dict[Hashable, np.ndarray] = {}
-                by_start: Dict[int, List[Hashable]] = {}
-                for user, series in state.overrides.items():
-                    by_start.setdefault(series.start, []).append(user)
-                for start, members in by_start.items():
-                    eps_mat = np.array(
-                        [state.overrides[u].eps for u in members], dtype=float
-                    )
-                    if eps_mat.size == 0:
-                        for user in members:
-                            out[user] = np.zeros(0)
-                        continue
-                    bpl_mat = np.array(
-                        [state.overrides[u].bpl for u in members], dtype=float
-                    )
-                    contrib, fpl_final = self._prefix_sweep(
-                        state, eps_mat, bpl_mat, base_all - start, window
-                    )
-                    np.maximum(worsts, contrib, out=worsts)
-                    for i, user in enumerate(members):
-                        out[user] = fpl_final[i]
-                state._override_fpl = out
-                state._override_fpl_key = b"|".join(
-                    np.asarray(state.overrides[u].eps, dtype=float).tobytes()
-                    for u in state.overrides
-                )
-        return worsts
-
-    def _prefix_sweep(
-        self,
-        state: _CohortState,
-        eps_mat: np.ndarray,
-        bpl_mat: np.ndarray,
-        base: int,
-        window: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Worst-TPL contributions of ``R`` rows sharing one join time,
-        for every window prefix, in one backward sweep.
-
-        ``eps_mat`` / ``bpl_mat`` are ``(R, m)`` with ``m = base +
-        window``: ``base`` pre-window time points followed by the window
-        steps.  Prefix ``j`` (0-based) covers columns ``[0, base + j]``
-        -- the stream as it stood after window step ``j``.  All
-        ``window`` prefix-FPL recursions advance in lock-step: at each
-        time point ``t`` the active prefixes (``j >= t - base``) take one
-        batched loss evaluation together, so the sweep costs O(m)
-        batched calls instead of O(window x m) scalar ones while
-        performing the exact float operations of
-        :func:`~repro.core.leakage.forward_privacy_leakage` per prefix.
-
-        Returns ``(worsts, fpl_final)``: ``worsts[j]`` is the rows' max
-        of ``BPL_t + FPL_t^{(j)} - eps_t`` over covered ``t``;
-        ``fpl_final`` is the full-horizon ``(R, m)`` FPL series (the
-        last prefix), which callers store in the FPL caches.
-        """
-        rows, m = eps_mat.shape
-        alphas = np.zeros((rows, window))
-        worsts = np.zeros(window)
-        fpl_final = np.empty_like(eps_mat)
-        for t in range(m - 1, -1, -1):
-            first = max(0, t - base)  # first prefix covering time point t
-            active = alphas[:, first:]
-            stepped = (
-                self._loss_batch(state.loss_f, active.ravel()).reshape(
-                    active.shape
-                )
-                + eps_mat[:, t, None]
-            )
-            alphas[:, first:] = stepped
-            fpl_final[:, t] = alphas[:, window - 1]
-            tpl_t = bpl_mat[:, t, None] + stepped - eps_mat[:, t, None]
-            np.maximum(worsts[first:], tpl_t.max(axis=0), out=worsts[first:])
-        return worsts, fpl_final
-
     def _override_fpl(self, state: _CohortState) -> Dict[Hashable, np.ndarray]:
-        """FPL series of every override member of one cohort, computed on
-        the stacked ``(members, T)`` budget array in one backward sweep
-        per distinct join time."""
+        """FPL series (Eq. 15) of every override member of one cohort, in
+        one backward sweep over global time: at each time point the
+        members that have joined by then -- across all join times -- take
+        one fused, memoised loss evaluation."""
         users = list(state.overrides)
         key = b"|".join(
             np.asarray(state.overrides[u].eps, dtype=float).tobytes()
@@ -1190,22 +1001,21 @@ class FleetAccountant:
         )
         if state._override_fpl_key == key and state._override_fpl is not None:
             return state._override_fpl
-        out: Dict[Hashable, np.ndarray] = {}
-        by_start: Dict[int, List[Hashable]] = {}
-        for user in users:
-            by_start.setdefault(state.overrides[user].start, []).append(user)
-        for start, members in by_start.items():
-            eps_matrix = np.array(
-                [state.overrides[u].eps for u in members], dtype=float
-            )
-            horizon = eps_matrix.shape[1]
-            fpl_matrix = np.empty_like(eps_matrix)
-            alpha = np.zeros(len(members))
-            for t in range(horizon - 1, -1, -1):
-                alpha = self._loss_batch(state.loss_f, alpha) + eps_matrix[:, t]
-                fpl_matrix[:, t] = alpha
-            for i, user in enumerate(members):
-                out[user] = fpl_matrix[i]
+        horizon = len(self._epsilons)
+        starts = np.array([state.overrides[u].start for u in users])
+        eps_mat = np.zeros((len(users), horizon))
+        for i, user in enumerate(users):
+            eps_mat[i, starts[i] :] = state.overrides[user].eps
+        fpl = np.zeros((len(users), horizon))
+        alphas = np.zeros(len(users))
+        for g in range(horizon - 1, -1, -1):
+            act = np.flatnonzero(starts <= g)
+            if act.size == 0:
+                break  # nobody had joined yet at or before g
+            (values,) = self._loss_batch_multi([(state.loss_f, alphas[act])])
+            alphas[act] = values + eps_mat[act, g]
+            fpl[act, g] = alphas[act]
+        out = {user: fpl[i, starts[i] :].copy() for i, user in enumerate(users)}
         state._override_fpl = out
         state._override_fpl_key = key
         return out

@@ -18,11 +18,7 @@ Algorithm 1 itself lives in :mod:`repro.core.algorithm1`.
 from .charnes_cooper import LinearProgram, lfp_to_lp, lp_solution_to_lfp_value
 from .scipy_backend import solve_lfp_scipy
 from .simplex import SimplexResult, simplex_solve, solve_lfp_simplex
-from .dinkelbach import (
-    DinkelbachResult,
-    solve_lfp_dinkelbach,
-    solve_lfp_dinkelbach_grid,
-)
+from .dinkelbach import DinkelbachResult, solve_lfp_dinkelbach
 from .bruteforce import MAX_BRUTEFORCE_N, solve_lfp_bruteforce
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "solve_lfp_simplex",
     "DinkelbachResult",
     "solve_lfp_dinkelbach",
-    "solve_lfp_dinkelbach_grid",
     "MAX_BRUTEFORCE_N",
     "solve_lfp_bruteforce",
 ]

@@ -27,11 +27,7 @@ from ..core.lfp import LfpProblem
 from ..exceptions import SolverError
 from ..obs.instrument import solver_metrics
 
-__all__ = [
-    "DinkelbachResult",
-    "solve_lfp_dinkelbach",
-    "solve_lfp_dinkelbach_grid",
-]
+__all__ = ["DinkelbachResult", "solve_lfp_dinkelbach"]
 
 
 @dataclass
@@ -115,68 +111,3 @@ def _solve_lfp_dinkelbach_impl(
 
     raise SolverError(f"Dinkelbach did not converge in {max_iter} iterations")
 
-
-def solve_lfp_dinkelbach_grid(
-    q: np.ndarray,
-    d: np.ndarray,
-    alphas: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 1_000,
-) -> np.ndarray:
-    """Dinkelbach iteration vectorised over a whole grid of alphas.
-
-    One coefficient pair ``(q, d)``, many leakage bounds: every grid
-    point runs its own lambda iteration in lock-step numpy sweeps, and
-    rows freeze as they converge.  This is the grid-shaped counterpart
-    of :func:`repro.core.max_log_ratio_grid` and cross-validates it in
-    the test-suite; it matches per-alpha
-    :func:`solve_lfp_dinkelbach` to float round-off (the masked sums
-    reduce in a different pairing, so agreement is to tolerance, not
-    bit-exact -- the bit-pinned grid path is Algorithm 1's).
-
-    Returns the optimal *log*-values, one per alpha; ``alpha == 0``
-    rows return 0 without iterating.
-    """
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError("alphas must be a 1-D array")
-    if alphas.size == 0:
-        return np.zeros(0)
-    if np.any(alphas < 0) or not np.all(np.isfinite(alphas)):
-        raise SolverError("all alphas must be finite and >= 0")
-    q_total = float(q.sum())
-    d_total = float(d.sum())
-    if d_total <= 0:
-        raise SolverError("degenerate problem: d sums to zero")
-
-    # Same formula as LfpProblem.ratio_bound - 1.
-    e = np.exp(alphas) - 1.0
-    out = np.zeros_like(alphas)
-    live = e > 0.0
-    lam = np.full(alphas.shape, q_total / d_total)
-
-    for _ in range(max_iter):
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            return out
-        new_mask = (q[None, :] - lam[idx, None] * d[None, :]) > 0
-        numerator = (q[None, :] * new_mask).sum(axis=1) * e[idx] + q_total
-        denominator = (d[None, :] * new_mask).sum(axis=1) * e[idx] + d_total
-        if np.any(denominator <= 0):
-            raise SolverError("degenerate denominator in Dinkelbach step")
-        new_lam = numerator / denominator
-        f_value = numerator - lam[idx] * denominator
-        bound = np.maximum(
-            np.maximum(1.0, np.abs(lam[idx])), np.abs(numerator)
-        )
-        done = (f_value <= tol * bound) | (new_lam <= lam[idx])
-        final = np.maximum(lam[idx], new_lam)
-        if np.any(done & (final <= 0)):
-            raise SolverError("non-positive LFP optimum in grid solve")
-        out[idx[done]] = np.log(final[done])
-        lam[idx[~done]] = new_lam[~done]
-        live[idx[done]] = False
-
-    raise SolverError(f"Dinkelbach did not converge in {max_iter} iterations")

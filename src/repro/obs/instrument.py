@@ -15,7 +15,8 @@ Installed metrics:
 * ``solver.algorithm1.solves`` / ``solver.algorithm1.seconds`` -- one
   count per alpha evaluated (a batch of ``A`` alphas counts ``A``) and
   wall time per :func:`~repro.core.algorithm1.max_log_ratio` /
-  :func:`~repro.core.algorithm1.max_log_ratio_batch` entry;
+  :func:`~repro.core.algorithm1.max_log_ratio_batch` /
+  :func:`~repro.core.algorithm1.max_log_ratio_stacked` entry;
 * ``solver.dinkelbach.solves`` / ``solver.dinkelbach.iterations`` /
   ``solver.dinkelbach.seconds`` -- per
   :func:`~repro.lp.dinkelbach.solve_lfp_dinkelbach` call.

@@ -25,8 +25,13 @@ Snapshots (:meth:`MetricsRegistry.snapshot`) are JSON-safe dicts -- what
 --stats-interval`` surface -- and :meth:`MetricsRegistry.to_prometheus`
 renders the registry in the Prometheus text exposition format.
 
-The registry is not thread-safe; the serving stack is single-threaded
-asyncio, and shard workers never share a registry across processes.
+Lane threads write into one shared registry while the event loop
+scrapes it.  Creating a series is atomic (``dict.setdefault``), so two
+threads creating the same series share one object, and scrapes iterate
+a copy of the series tables, so a series created mid-scrape cannot break
+the iteration.  Recording into an existing series takes no lock; each
+series' readings are only as consistent as the interleaving of its
+writers allows.  Shard workers never share a registry across processes.
 """
 
 from __future__ import annotations
@@ -267,9 +272,10 @@ class MetricsRegistry:
         key = _render_name(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = factory()
-            self._metrics[key] = metric
-        elif not isinstance(metric, kind):
+            # Atomic under the GIL: a racing creator gets the winner's
+            # object instead of orphaning its own increments.
+            metric = self._metrics.setdefault(key, factory())
+        if not isinstance(metric, kind):
             raise TypeError(
                 f"metric {key!r} already registered as "
                 f"{type(metric).__name__}, not {kind.__name__}"
@@ -315,22 +321,25 @@ class MetricsRegistry:
         gauges as scalars, histograms/timeseries as dicts, gauge
         functions evaluated now."""
         out = {
-            key: metric.snapshot() for key, metric in self._metrics.items()
+            key: metric.snapshot()
+            for key, metric in dict(self._metrics).items()
         }
-        for key, fn in self._gauge_fns.items():
+        for key, fn in dict(self._gauge_fns).items():
             out[key] = fn()
         return out
 
     def to_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format."""
         lines: List[str] = []
-        for key in sorted(set(self._metrics) | set(self._gauge_fns)):
+        metrics = dict(self._metrics)
+        gauge_fns = dict(self._gauge_fns)
+        for key in sorted(set(metrics) | set(gauge_fns)):
             name, _, labels = key.partition("{")
             labels = ("{" + labels) if labels else ""
             base = _prom_name(name)
-            metric = self._metrics.get(key)
+            metric = metrics.get(key)
             if metric is None:  # gauge function
-                value = self._gauge_fns[key]()
+                value = gauge_fns[key]()
                 if isinstance(value, dict):
                     for field, v in value.items():
                         if isinstance(v, (int, float)) and v is not True:

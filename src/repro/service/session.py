@@ -149,11 +149,6 @@ class ReleaseSession:
                 shard_addresses=config.shard_addresses,
             )
         self._backend = backend
-        #: Clamp probing strategy: batched dyadic-tree probes through
-        #: ``backend.probe_scales`` (default) vs. the serial
-        #: probe-and-rollback loop -- bit-identical chosen scales,
-        #: toggleable for parity tests and benchmarks.
-        self._clamp_batched = True
         self._rng = as_rng(config.seed)
         self._events: List[ReleaseEvent] = []
         self._pump: Optional[BoundedIngestQueue] = None
@@ -344,7 +339,9 @@ class ReleaseSession:
         if stop == len(steps):
             return stop
         applied, applied_overrides, worst, status, message = (
-            self._apply_policy(requested[stop], overrides[stop])
+            self._apply_policy(
+                requested[stop], overrides[stop], float(worsts[stop])
+            )
         )
         events.append(
             self._emit(
@@ -564,22 +561,21 @@ class ReleaseSession:
         self,
         requested: float,
         overrides: Optional[Mapping[object, float]],
+        worst: float,
     ) -> Tuple[float, Optional[Mapping[object, float]], float, str, Optional[str]]:
         """Decide one alpha-violating step under reject/clamp.
 
-        Returns ``(applied_epsilon, applied_overrides, max_tpl, status,
+        ``worst`` is the worst-case TPL the requested release produced in
+        the window :meth:`_ingest_chunk` has already rolled back, so the
+        step is not applied again just to be measured.  Returns
+        ``(applied_epsilon, applied_overrides, max_tpl, status,
         message)``; on return the backend state reflects the decision.
         Warn mode never reaches here -- a warned release stands as
         applied, so :meth:`_ingest_chunk` handles it without rolling the
         window back.
         """
         policy = self._policy
-        worst = self._backend.add_release(requested, overrides)
-        if policy.alpha is None or worst <= policy.alpha + _ALPHA_TOL:
-            return requested, overrides, worst, RELEASED, None
         detail = self._violation_detail(requested, worst)
-        self._backend.rollback_last()
-        self._registry.counter("session.alpha.rollbacks").inc()
         if policy.mode == "reject":
             return 0.0, None, self._backend.max_tpl(), REJECTED, detail
         # Clamp: largest feasible fraction of the requested budgets.
@@ -614,15 +610,15 @@ class ReleaseSession:
         """Bisect the largest scale in [0, 1] whose scaled release keeps
         worst-case TPL within ``alpha``.
 
-        The serial bisection's midpoints form a deterministic dyadic
-        tree: every candidate the next ``_PROBE_LEVELS`` levels could
-        visit is enumerated with the serial arithmetic (``mid = 0.5 *
-        (lo + hi)``, gated on ``hi - lo > clamp_resolution``), evaluated
-        in **one** read-only ``probe_scales`` backend entry, and the
+        The bisection's midpoints form a deterministic dyadic tree: every
+        candidate the next ``_PROBE_LEVELS`` levels could visit is
+        enumerated with the bisection arithmetic (``mid = 0.5 * (lo +
+        hi)``, gated on ``hi - lo > clamp_resolution``), evaluated in
+        **one** read-only ``probe_scales`` backend entry, and the
         bisection then walks the precomputed answers locally.  The
-        chosen scale is bit-identical to :meth:`_clamp_scale_serial`
-        (parity-pinned), with the ~20 serial backend round-trips
-        collapsed into ~4.  ``scale == 0`` is always feasible: a
+        chosen scale is bit-identical to a one-probe-per-midpoint
+        bisection (parity-pinned), with its ~20 backend round-trips
+        collapsed into ~5.  ``scale == 0`` is always feasible: a
         zero-budget release can never raise TPL (``L(alpha) <= alpha``),
         so the invariant maintained by reject/clamp modes keeps the
         bracket valid.
@@ -630,8 +626,6 @@ class ReleaseSession:
         # Normalise once: an empty-but-not-None mapping must not cost a
         # dict rebuild (or a scaled copy) per probe.
         overrides = dict(overrides) if overrides else None
-        if not self._clamp_batched:
-            return self._clamp_scale_serial(requested, overrides, alpha)
         resolution = self._policy.clamp_resolution
         lo, hi = 0.0, 1.0  # hi was just observed infeasible
         while hi - lo > resolution:
@@ -657,37 +651,6 @@ class ReleaseSession:
                     lo = mid
                 else:
                     hi = mid
-        return lo
-
-    def _clamp_scale_serial(
-        self,
-        requested: float,
-        overrides: Optional[Mapping[object, float]],
-        alpha: float,
-    ) -> float:
-        """The original one-round-trip-per-midpoint bisection, kept as
-        the parity/benchmark reference for the batched path.  Each probe
-        applies the scaled release, reads the resulting TPL and rolls it
-        back -- exact state restoration, deterministic probes, hence
-        bit-identical results across backends.  ``overrides`` arrives
-        normalised (``None`` when empty)."""
-        lo, hi = 0.0, 1.0  # hi was just observed infeasible
-        while hi - lo > self._policy.clamp_resolution:
-            mid = 0.5 * (lo + hi)
-            scaled_overrides = (
-                {user: eps * mid for user, eps in overrides.items()}
-                if overrides
-                else None
-            )
-            worst = self._backend.add_release(
-                requested * mid, scaled_overrides
-            )
-            self._backend.rollback_last()
-            self._registry.counter("session.alpha.probes").inc()
-            if worst <= alpha + _ALPHA_TOL:
-                lo = mid
-            else:
-                hi = mid
         return lo
 
     # ------------------------------------------------------------------
@@ -748,7 +711,7 @@ class ReleaseSession:
         high-water mark, largest coalesced window), which operators use
         to size ``window_size`` / ``queue_maxsize``.  ``"cache"`` is the
         Algorithm-1 :class:`SolutionCache`'s hit/miss/eviction counters
-        (warm-start efficacy of the batched grid solves); ``"metrics"``
+        (how often a memoised loss evaluation was reused); ``"metrics"``
         is the registry snapshot -- latency histograms, per-status event
         counters, backend timings -- and is ``{}`` on an un-instrumented
         session."""

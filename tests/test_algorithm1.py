@@ -11,14 +11,12 @@ from repro.core import (
     LfpProblem,
     max_log_ratio,
     max_log_ratio_batch,
-    max_log_ratio_grid,
     max_log_ratio_stacked,
     solve_lfp_algorithm1,
     solve_pair,
 )
 from repro.core import algorithm1 as algorithm1_module
 from repro.exceptions import InvalidPrivacyParameterError
-from repro.fleet import SolutionCache
 from repro.lp import solve_lfp_bruteforce
 from repro.markov import (
     identity_matrix,
@@ -152,9 +150,9 @@ class TestMaxLogRatio:
 
 
 class TestMaxLogRatioBatched:
-    """Bit-identity of the batch / stacked / grid entry points against
-    the scalar solver, including the chunked code path and degenerate
-    alpha rows."""
+    """Bit-identity of the batch / stacked entry points against the
+    scalar solver, including the chunked code path and degenerate alpha
+    rows."""
 
     GRID = [0.0, 1e-12, 0.25, 0.25, 1.0, 5.0, 0.0]
 
@@ -203,11 +201,14 @@ class TestMaxLogRatioBatched:
     )
     def test_stacked_matches_per_matrix_batch(self, jobs):
         """Fusing distinct matrices into one stacked sweep returns each
-        job's standalone batch answer bit-for-bit."""
+        job's standalone batch answer bit-for-bit, and every value is the
+        scalar solver's answer for its own matrix."""
         results = max_log_ratio_stacked(jobs)
         assert len(results) == len(jobs)
         for (matrix, values), fused in zip(jobs, results):
             assert np.array_equal(fused, max_log_ratio_batch(matrix, values))
+            for value, got in zip(values, fused):
+                assert got == max_log_ratio(matrix, value)
 
     def test_stacked_chunk_invariant(self):
         jobs = [
@@ -232,23 +233,3 @@ class TestMaxLogRatioBatched:
                     (uniform_matrix(3), [0.3]),
                 ]
             )
-
-    def test_grid_without_cache_is_batch(self):
-        m = two_state_matrix(0.7, 0.2)
-        assert np.array_equal(
-            max_log_ratio_grid(m, self.GRID),
-            max_log_ratio_batch(m, self.GRID),
-        )
-
-    def test_grid_warm_start_reuses_cache(self):
-        """A warm cache answers repeated values without new solves, and
-        the answers stay bit-identical to the cold batch."""
-        m = two_state_matrix(0.7, 0.2)
-        cache = SolutionCache()
-        cold = max_log_ratio_grid(m, self.GRID, cache=cache)
-        assert np.array_equal(cold, max_log_ratio_batch(m, self.GRID))
-        misses_after_cold = cache.stats()["misses"]
-        warm = max_log_ratio_grid(m, self.GRID, cache=cache)
-        assert np.array_equal(warm, cold)
-        assert cache.stats()["misses"] == misses_after_cold
-        assert cache.stats()["hits"] > 0

@@ -9,6 +9,8 @@ from repro.core import (
     AdversaryT,
     TemporalLossFunction,
     TemporalPrivacyAccountant,
+    backward_privacy_leakage,
+    forward_privacy_leakage,
     get_shared_solution_cache,
     max_log_ratio,
     max_log_ratio_batch,
@@ -147,16 +149,6 @@ class TestEngineParity:
             np.testing.assert_allclose(
                 fleet.profile().tpl, seed_acct.profile().tpl, atol=PARITY_ATOL
             )
-
-    def test_bulk_add_releases(self, population):
-        one_by_one = FleetAccountant(population)
-        bulk = FleetAccountant(population)
-        budgets = [0.1, 0.2, 0.05]
-        for eps in budgets:
-            one_by_one.add_release(eps)
-        assert bulk.add_releases(budgets) == pytest.approx(
-            one_by_one.max_tpl(), abs=0
-        )
 
 
 class TestAddWindow:
@@ -421,6 +413,74 @@ class TestOverrides:
             scalar = np.array([max_log_ratio(matrix, a) for a in alphas])
             np.testing.assert_allclose(batched, scalar, atol=1e-12)
 
+    PAIRS = [
+        (two_state_matrix(0.8, 0.1), two_state_matrix(0.7, 0.2)),
+        (random_stochastic_matrix(3, seed=5), random_stochastic_matrix(3, seed=6)),
+        (two_state_matrix(0.6, 0.2), None),
+    ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(
+            st.sampled_from(["release", "window", "join", "rollback", "migrate"]),
+            min_size=3,
+            max_size=10,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_override_series_match_core_recursions(self, ops, seed):
+        """Override members joining mid-stream, rollbacks and
+        ``migrate_user``: every user's BPL/FPL stays bit-identical to the
+        paper's recursions over the budgets the fleet says it spent."""
+        rng = np.random.default_rng(seed)
+        population = {u: self.PAIRS[u % len(self.PAIRS)] for u in range(4)}
+        fleet = FleetAccountant(population)
+        last_join = 0  # rolling back past a join time is out of contract
+
+        def draw_overrides():
+            users = rng.choice(list(population), size=2, replace=False)
+            return {int(u): float(rng.uniform(0.0, 0.5)) for u in users}
+
+        overridden = set(draw_overrides())
+        fleet.add_release(0.1, {u: 0.2 for u in overridden})
+        for op in ops:
+            if op == "release":
+                overrides = draw_overrides()
+                fleet.add_release(float(rng.uniform(0.01, 0.4)), overrides)
+                overridden.update(overrides)
+            elif op == "window":
+                overrides = draw_overrides()
+                fleet.add_window(
+                    [float(rng.uniform(0.01, 0.4)) for _ in range(3)],
+                    [None, overrides, None],
+                )
+                overridden.update(overrides)
+            elif op == "join":
+                user = len(population)
+                population[user] = self.PAIRS[int(rng.integers(len(self.PAIRS)))]
+                fleet.add_user(user, population[user])
+                last_join = fleet.horizon
+            elif op == "rollback" and fleet.horizon > last_join:
+                fleet.rollback(int(rng.integers(1, fleet.horizon - last_join + 1)))
+            elif op == "migrate":
+                user = int(rng.choice(sorted(overridden or population)))
+                population[user] = self.PAIRS[int(rng.integers(len(self.PAIRS)))]
+                fleet.migrate_user(user, population[user])
+
+            for user, (backward, forward) in population.items():
+                eps = fleet.user_epsilons(user)
+                profile = fleet.profile(user)
+                if eps.size == 0:
+                    assert profile.fpl.size == 0
+                    continue
+                assert np.array_equal(
+                    profile.fpl, forward_privacy_leakage(forward, eps)
+                )
+                assert np.array_equal(
+                    profile.bpl, backward_privacy_leakage(backward, eps)
+                )
+        assert overridden
+
 
 # ---------------------------------------------------------------------------
 # Cross-cohort batching
@@ -434,10 +494,48 @@ def _fleet_state(fleet, population):
     return state
 
 
+def _core_worsts(fleet, population, steps):
+    """Per-step worst TPL of the last ``steps`` releases from the paper's
+    recursions in :mod:`repro.core`, one user at a time: every user's
+    budget vector ends at the current horizon, so dropping its last
+    ``steps - 1 - i`` entries gives the stream as it stood after step
+    ``i``."""
+    out = []
+    for i in range(steps):
+        cut = steps - 1 - i
+        worst = 0.0
+        for user, (backward, forward) in population.items():
+            eps = fleet.user_epsilons(user)
+            eps = eps[: max(0, eps.size - cut)]
+            if eps.size:
+                worst = max(
+                    worst,
+                    temporal_privacy_leakage(backward, forward, eps).max_tpl,
+                )
+        out.append(worst)
+    return np.array(out)
+
+
+def _core_state(fleet, population):
+    """:func:`_fleet_state` with every series from the core recursions."""
+    state = {
+        "max_tpl": float(_core_worsts(fleet, population, 1)[0]),
+        "horizon": fleet.horizon,
+    }
+    for user, (backward, forward) in population.items():
+        eps = fleet.user_epsilons(user)
+        if eps.size:
+            p = temporal_privacy_leakage(backward, forward, eps)
+            state[user] = (p.epsilons.tobytes(), p.bpl.tobytes(), p.fpl.tobytes())
+        else:
+            state[user] = (b"", b"", b"")
+    return state
+
+
 class TestCrossCohortParity:
     """The digest-batched cross-cohort sweep is a pure execution-plan
-    change: every float it produces must be bit-identical to the
-    per-cohort loop it replaced."""
+    change: every float it produces must be bit-identical to the paper's
+    per-user recursions in :mod:`repro.core`."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), users=st.integers(2, 12))
@@ -453,9 +551,6 @@ class TestCrossCohortParity:
             u: pairs[rng.integers(len(pairs))] for u in range(users)
         }
         fused = FleetAccountant(population)
-        serial = FleetAccountant(population)
-        serial.cross_cohort = False
-        assert fused.cross_cohort
 
         for step in range(6):
             eps = float(rng.uniform(0.01, 0.5))
@@ -466,20 +561,19 @@ class TestCrossCohortParity:
             if rng.random() < 0.3:
                 window = [eps, float(rng.uniform(0.01, 0.5))]
                 w_f = fused.add_window(window, [overrides, None])
-                w_s = serial.add_window(window, [overrides, None])
+                w_s = _core_worsts(fused, population, len(window))
                 assert np.array_equal(w_f, w_s)
             else:
-                assert fused.add_release(eps, overrides) == serial.add_release(
-                    eps, overrides
-                )
+                assert fused.add_release(eps, overrides) == _core_worsts(
+                    fused, population, 1
+                )[0]
             if step == 2:
                 joiner = users + 1
                 population[joiner] = pairs[0]
                 fused.add_user(joiner, pairs[0])
-                serial.add_user(joiner, pairs[0])
 
-        assert _fleet_state(fused, population) == _fleet_state(
-            serial, population
+        assert _fleet_state(fused, population) == _core_state(
+            fused, population
         )
 
     def test_probe_scales_matches_serial_probing(self, population):
@@ -552,19 +646,18 @@ class TestSolutionCache:
             set_shared_solution_cache(previous)
 
     def test_engine_reuses_solves_across_cohorts(self, models):
-        # Two cohorts, identical backward matrix content.  On the
-        # per-cohort path the second cohort's recursion hits the first
-        # one's solves; the cross-cohort path goes one further and
+        # Two cohorts, identical backward matrix content.  On the scalar
+        # per-user path the second user's recursion hits the first one's
+        # solves; the fleet's cross-cohort path goes one further and
         # *fuses* them -- same digest, same alpha, one solve -- so the
         # second cohort costs no extra misses at all.
         P = two_state_matrix(0.8, 0.0)
         P_copy = two_state_matrix(0.8, 0.0)
 
         serial_cache = SolutionCache()
-        serial = FleetAccountant(
+        serial = TemporalPrivacyAccountant(
             {"a": (P, P), "b": (P_copy, None)}, cache=serial_cache
         )
-        serial.cross_cohort = False
         for _ in range(5):
             serial.add_release(0.1)
         assert serial_cache.hits > 0
@@ -581,6 +674,22 @@ class TestSolutionCache:
             solo.add_release(0.1)
         assert cache.misses <= solo_cache.misses
         assert fleet.max_tpl() == serial.max_tpl()
+
+    def test_batch_path_warm_start_reuses_cache(self):
+        """The memoised batch path answers repeated values from a warm
+        cache without new solves, bit-identical to the cold solves."""
+        m = two_state_matrix(0.7, 0.2)
+        grid = [0.0, 1e-12, 0.25, 0.25, 1.0, 5.0, 0.0]
+        cache = SolutionCache()
+        fleet = FleetAccountant(cache=cache)
+        loss = TemporalLossFunction(m)
+        (cold,) = fleet._loss_batch_multi([(loss, grid)])
+        assert np.array_equal(cold, max_log_ratio_batch(m, grid))
+        misses_after_cold = cache.stats()["misses"]
+        (warm,) = fleet._loss_batch_multi([(loss, grid)])
+        assert np.array_equal(warm, cold)
+        assert cache.stats()["misses"] == misses_after_cold
+        assert cache.stats()["hits"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from test_service_parity import (
     N_USERS,
     alpha_policies,
     populations,
+    serial_clamp_scale,
     streams,
 )
 
@@ -218,7 +219,7 @@ def test_batched_probe_survives_worker_kill(transport):
     population = fixed_population()
     stream = [(0.5, None), (0.7, {1: 0.3}), (0.6, None), (0.8, None)]
 
-    def fleet_session(clamp_batched):
+    def fleet_session(serial_clamp):
         session = ReleaseSession(
             SessionConfig(
                 correlations=population,
@@ -230,14 +231,15 @@ def test_batched_probe_survives_worker_kill(transport):
                 seed=33,
             )
         )
-        session._clamp_batched = clamp_batched
+        if serial_clamp:
+            session._clamp_scale = serial_clamp_scale(session)
         return session
 
-    reference = fleet_session(True)
+    reference = fleet_session(False)
     ref_events = drive(reference, stream, 33)
     assert any(e.status == "clamped" for e in ref_events)
 
-    serial = fleet_session(False)
+    serial = fleet_session(True)
     serial_events = drive(serial, stream, 33)
     assert_bit_identical(reference, ref_events, serial, serial_events)
 

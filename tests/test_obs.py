@@ -3,12 +3,15 @@
 Covers the metric primitives' edge cases (empty / single-sample /
 saturated-reservoir histogram percentiles), the registry contract
 (identity, labels, kind mismatch, Prometheus exposition, the null
-registry), queue counters surviving session close, and the open-loop
+registry, scrapes racing lane threads that create series), queue
+counters surviving session close, and the open-loop
 load generator's arrival schedules and report shape.
 """
 
 import asyncio
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -211,6 +214,54 @@ def test_null_registry_is_inert():
     assert NULL_REGISTRY.to_prometheus() == ""
     assert NULL_REGISTRY.counter("x").value == 0
     assert isinstance(NULL_REGISTRY, NullRegistry)
+
+
+def test_registry_scrapes_while_threads_create_series():
+    """Lane threads create series while the loop thread scrapes: no
+    scrape may fail with "dictionary changed size during iteration", and
+    writers racing to create one series must all land in the same one."""
+    registry = MetricsRegistry()
+    writers, series, rounds = 4, 100, 5
+    errors: list = []
+    scrapes = 0
+    done = threading.Event()
+
+    def write(w):
+        for r in range(rounds):
+            for i in range(series):
+                registry.counter("shared", i=i).inc()
+                registry.histogram("own.seconds", w=w, r=r, i=i).observe(1e-3)
+
+    def scrape():
+        nonlocal scrapes
+        while not done.is_set():
+            try:
+                registry.snapshot()
+                registry.to_prometheus()
+            except RuntimeError as exc:
+                errors.append(exc)
+            scrapes += 1
+
+    scraper = threading.Thread(target=scrape)
+    threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        scraper.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        scraper.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [scraper, *threads])
+    assert scrapes > 0
+    assert errors == []
+    snap = registry.snapshot()
+    for i in range(series):
+        assert snap[f'shared{{i="{i}"}}'] == writers * rounds
 
 
 def test_solver_metrics_hook_install_and_restore():

@@ -358,6 +358,60 @@ class TestAlphaPolicies:
             run(True).noisy_answer, run(False).noisy_answer
         )
 
+    @pytest.mark.parametrize("kind", ["scalar", "fleet"])
+    def test_capped_step_is_not_reapplied(self, kind):
+        """A step rejected at the cap costs the window, one rollback and
+        the probe rounds: the violating release is never applied again
+        just to measure it (the window already did)."""
+
+        class RecordingBackend:
+            def __init__(self, inner):
+                self._inner = inner
+                self.calls = []
+
+            def __getattr__(self, name):
+                attr = getattr(self._inner, name)
+                if name not in (
+                    "add_window",
+                    "add_release",
+                    "rollback",
+                    "rollback_last",
+                    "probe_scales",
+                ):
+                    return attr
+
+                def recorded(*args, **kwargs):
+                    self.calls.append(name)
+                    return attr(*args, **kwargs)
+
+                return recorded
+
+        identity = identity_matrix(2)
+        config = SessionConfig(
+            correlations=(identity, identity),
+            budgets=0.1,
+            alpha=0.25,
+            alpha_mode="clamp",
+            seed=0,
+        )
+        backend = RecordingBackend(
+            make_backend(config.user_correlations(), backend=kind)
+        )
+        session = ReleaseSession(config, backend=backend)
+        assert [session.ingest().status for _ in range(3)] == [
+            RELEASED,
+            RELEASED,
+            CLAMPED,  # lands exactly on the cap: 0.1 + 0.1 + 0.05
+        ]
+        backend.calls.clear()
+        event = session.ingest()
+        assert event.status == REJECTED
+        assert "no positive fraction" in event.message
+        assert backend.calls[:2] == ["add_window", "rollback"]
+        assert len(backend.calls) > 2
+        assert set(backend.calls[2:]) == {"probe_scales"}
+        assert session.horizon == 3
+
 
 # ---------------------------------------------------------------------------
 # Checkpointing

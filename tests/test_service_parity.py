@@ -30,6 +30,7 @@ from repro.service import (
     SessionConfig,
     WindowStep,
 )
+from repro.service.session import _ALPHA_TOL as ALPHA_TOL
 
 N_USERS = 5
 
@@ -84,7 +85,34 @@ def alpha_policies(draw):
     return alpha, draw(st.sampled_from(["reject", "clamp", "warn"]))
 
 
-def run_stream(backend, population, stream, alpha, mode, seed, clamp_batched=True):
+def serial_clamp_scale(session):
+    """A one-probe-per-midpoint clamp bisection over ``session``'s
+    backend -- apply the scaled release, read the worst TPL, roll it
+    back -- to stand in for the session's batched ``_clamp_scale``."""
+    backend = session.backend
+    resolution = session.config.clamp_resolution
+
+    def clamp_scale(requested, overrides, alpha):
+        lo, hi = 0.0, 1.0  # hi was just observed infeasible
+        while hi - lo > resolution:
+            mid = 0.5 * (lo + hi)
+            scaled = (
+                {user: eps * mid for user, eps in overrides.items()}
+                if overrides
+                else None
+            )
+            worst = backend.add_release(requested * mid, scaled)
+            backend.rollback_last()
+            if worst <= alpha + ALPHA_TOL:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return clamp_scale
+
+
+def run_stream(backend, population, stream, alpha, mode, seed, serial_clamp=False):
     session = ReleaseSession(
         SessionConfig(
             correlations=population,
@@ -96,7 +124,8 @@ def run_stream(backend, population, stream, alpha, mode, seed, clamp_batched=Tru
             seed=seed,
         )
     )
-    session._clamp_batched = clamp_batched
+    if serial_clamp:
+        session._clamp_scale = serial_clamp_scale(session)
     rng = np.random.default_rng(seed)  # identical snapshots per backend
     events = []
     with warnings.catch_warnings():
@@ -171,7 +200,7 @@ def test_batched_clamp_bit_identical_to_serial(
         backend, population, stream, alpha, "clamp", seed
     )
     serial, serial_events = run_stream(
-        backend, population, stream, alpha, "clamp", seed, clamp_batched=False
+        backend, population, stream, alpha, "clamp", seed, serial_clamp=True
     )
     for a, b in zip(batched_events, serial_events):
         assert a.payload(include_true_answer=True) == b.payload(

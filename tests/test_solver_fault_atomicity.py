@@ -55,15 +55,14 @@ def _inject_fault(monkeypatch, fail_at: int) -> None:
     """Make the ``fail_at``-th loss evaluation raise SolverError.
 
     Patches the memoised scalar path (``TemporalLossFunction.__call__``,
-    used by both accountants' BPL/FPL extensions) and the fleet batch
-    paths (``FleetAccountant._loss_batch`` and the cross-cohort
-    ``FleetAccountant._loss_batch_multi``) with one shared counter, so
-    the fault lands at every distinct point of the evaluation sequence
-    as ``fail_at`` sweeps.
+    used by the scalar accountant and the fleet's group FPL) and the
+    fleet's one batched path (``FleetAccountant._loss_batch_multi``:
+    BPL extension, window sweep, override FPL) with one shared counter,
+    so the fault lands at every distinct point of the evaluation
+    sequence as ``fail_at`` sweeps.
     """
     calls = {"n": 0}
     original_call = TemporalLossFunction.__call__
-    original_batch = FleetAccountant._loss_batch
     original_multi = FleetAccountant._loss_batch_multi
 
     def tick():
@@ -75,16 +74,11 @@ def _inject_fault(monkeypatch, fail_at: int) -> None:
         tick()
         return original_call(self, value)
 
-    def flaky_batch(self, loss, values):
-        tick()
-        return original_batch(self, loss, values)
-
     def flaky_multi(self, jobs, **kwargs):
         tick()
         return original_multi(self, jobs, **kwargs)
 
     monkeypatch.setattr(TemporalLossFunction, "__call__", flaky_call)
-    monkeypatch.setattr(FleetAccountant, "_loss_batch", flaky_batch)
     monkeypatch.setattr(FleetAccountant, "_loss_batch_multi", flaky_multi)
 
 
@@ -95,7 +89,6 @@ def _count_evaluations(build, mutate) -> int:
     target = build()
     calls = {"n": 0}
     original_call = TemporalLossFunction.__call__
-    original_batch = FleetAccountant._loss_batch
     original_multi = FleetAccountant._loss_batch_multi
     with pytest.MonkeyPatch.context() as mp:
 
@@ -103,16 +96,11 @@ def _count_evaluations(build, mutate) -> int:
             calls["n"] += 1
             return original_call(self, value)
 
-        def counting_batch(self, loss, values):
-            calls["n"] += 1
-            return original_batch(self, loss, values)
-
         def counting_multi(self, jobs, **kwargs):
             calls["n"] += 1
             return original_multi(self, jobs, **kwargs)
 
         mp.setattr(TemporalLossFunction, "__call__", counting_call)
-        mp.setattr(FleetAccountant, "_loss_batch", counting_batch)
         mp.setattr(FleetAccountant, "_loss_batch_multi", counting_multi)
         mutate(target)
     return calls["n"]
@@ -201,14 +189,7 @@ def test_sharded_backend_survives_a_faulting_shard(monkeypatch):
     processes, so the fault is injected by patching the engine in the
     *parent* before the workers fork (the children inherit the patch)."""
     calls = {"n": 0}
-    original_batch = FleetAccountant._loss_batch
     original_multi = FleetAccountant._loss_batch_multi
-
-    def flaky_batch(self, loss, values):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise SolverError("injected fault")
-        return original_batch(self, loss, values)
 
     def flaky_multi(self, jobs, **kwargs):
         calls["n"] += 1
@@ -227,7 +208,6 @@ def test_sharded_backend_survives_a_faulting_shard(monkeypatch):
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fault injection into workers requires fork")
-        monkeypatch.setattr(FleetAccountant, "_loss_batch", flaky_batch)
         monkeypatch.setattr(FleetAccountant, "_loss_batch_multi", flaky_multi)
         faulty = ShardedFleetBackend(POPULATION, shards=2)
         try:
