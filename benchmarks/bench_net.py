@@ -46,8 +46,8 @@ SHARDS = 2
 # loose -- it catches a transport that collapsed (accidental
 # per-byte writes, sync handshakes per op), not honest overhead.
 CI_MIN_SOCKET_RATIO = 0.2
-# The serve stage: executor-offloaded lanes + cross-request window
-# coalescing vs. the per-request inline baseline, same wire traffic.
+# The serve stage: cross-request window coalescing vs. the per-request
+# baseline (window_size=1) on the same session lane, same wire traffic.
 # The speedup floor is the PR's acceptance bar; the stall ceiling
 # proves the loop stayed free for I/O while accounting computed.
 CI_MIN_SERVE_SPEEDUP = 2.0
@@ -187,7 +187,7 @@ async def _parity_drive(host, port, lines):
 
 
 def serve_stage(users, count, window, rate, seed, connections=SERVE_CONNECTIONS):
-    """Coalesced + offloaded serve vs. the per-request inline baseline.
+    """Coalesced serve vs. the per-request baseline on the same lane.
 
     Each variant gets (1) a deterministic single-connection parity drive
     whose per-seq payloads and final TPL are compared bit-for-bit
@@ -212,11 +212,10 @@ def serve_stage(users, count, window, rate, seed, connections=SERVE_CONNECTIONS)
         reference.close()
 
     variants = {
-        # The pre-offload serve path: drain on the event loop, one
-        # add_window per request.
-        "baseline": dict(queue_offload=False, window_size=1),
-        # The PR's hot path: session-lane offload + window coalescing.
-        "coalesced": dict(queue_offload=True),
+        # One add_window per request, still drained on the session lane.
+        "baseline": dict(window_size=1),
+        # The hot path: backlogged requests coalesce into windows.
+        "coalesced": dict(),
     }
     stage = {
         "window": window,
@@ -374,7 +373,7 @@ def format_table(summary: dict) -> str:
             f"  serve stage ({stage['connections']} connections, "
             f"window={stage['window']}): per-request "
             f"{base['requests_per_second']:,.1f} req/s -> "
-            f"coalesced+offloaded {coal['requests_per_second']:,.1f} req/s "
+            f"coalesced {coal['requests_per_second']:,.1f} req/s "
             f"({stage['speedup']:.2f}x), worst loop stall "
             f"{coal['max_stall_ms']:.2f} ms, TPL gap {coal['tpl_gap']:.2e}"
         )
@@ -422,7 +421,7 @@ def test_net_overhead_and_serve_floor(show_table):
     assert stage["speedup"] >= CI_MIN_SERVE_SPEEDUP
     assert stage["coalesced"]["max_stall_ms"] < CI_MAX_STALL_MS
 
-    # The offload's SLO under the worst schedule we have: adversarial
+    # The lane's SLO under the worst schedule we have: adversarial
     # volleys of 2x the queue bound must not freeze the event loop.
     adversarial = run_loadgen(
         users=20,

@@ -437,9 +437,10 @@ class FleetAccountant:
                     state._override_fpl_key = None
 
     def _truncate_to(self, horizon: int) -> None:
-        """Restore the exact accounting state at ``horizon`` after a
-        mid-mutation fault (e.g. a :class:`SolverError` from a loss
-        evaluation partway through a window).
+        """Restore the exact accounting state at ``horizon``: the undo
+        behind :meth:`rollback` and behind a mid-mutation fault (e.g. a
+        :class:`SolverError` from a loss evaluation partway through a
+        window).
 
         Every mutation in the stream interface is an append -- to
         ``_epsilons``, to group BPL series, to override eps/BPL series --
@@ -468,19 +469,15 @@ class FleetAccountant:
         clamp/reject policies."""
         if not self._epsilons:
             raise ValueError("no releases to roll back")
-        self._epsilons.pop()
-        for state in self._states.values():
-            for group in state.groups.values():
-                group.bpl.pop()
-                group._fpl_key = None
-            for series in state.overrides.values():
-                series.eps.pop()
-                series.bpl.pop()
-            state._override_fpl_key = None
+        self.rollback(1)
 
     def rollback(self, n: int = 1) -> None:
         """Undo the ``n`` most recent releases (window-sized
-        :meth:`rollback_last`), restoring the exact prior state."""
+        :meth:`rollback_last`), restoring the exact prior state.
+
+        A user who joined mid-stream has no history before their join,
+        so rolling back past a join is refused up front, with the state
+        unchanged."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         if n > len(self._epsilons):
@@ -488,8 +485,19 @@ class FleetAccountant:
                 f"cannot roll back {n} releases; only "
                 f"{len(self._epsilons)} recorded"
             )
-        for _ in range(n):
-            self.rollback_last()
+        if n == 0:
+            return
+        horizon = len(self._epsilons) - n
+        for state in self._states.values():
+            joins = [(g.start, g.members) for g in state.groups.values()]
+            joins += [(s.start, (u,)) for u, s in state.overrides.items()]
+            for start, users in joins:
+                if start > horizon:
+                    raise ValueError(
+                        f"cannot roll back to horizon {horizon}: user "
+                        f"{next(iter(users))!r} joined at horizon {start}"
+                    )
+        self._truncate_to(horizon)
 
     def probe_release_scales(
         self,

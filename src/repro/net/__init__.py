@@ -17,9 +17,9 @@ Two halves sharing one framing layer:
   :class:`ShardTransport` protocol with two implementations — the
   original ``multiprocessing.Pipe`` and a length-prefixed CRC-framed
   socket (``repro shard-worker --listen``) so shard workers can run on
-  other machines. The coordinator health-checks workers (ping, rpc
-  timeouts) and reconnects-with-restore from its op journal, so a
-  killed worker rejoins without breaking bit-identity.
+  other machines. When a worker's transport fails, the coordinator
+  reconnects and restores it from the last checkpoint plus its restore
+  record, so a killed worker rejoins without breaking bit-identity.
 
 The shard frame payload is **pickle** (numpy arrays and exception
 objects must round-trip bit-exactly); only ever expose shard workers

@@ -15,8 +15,8 @@ Connection lifecycle::
 The engine is built **per connection** from the coordinator-supplied
 spec, which is what makes reconnect-with-restore work: a coordinator
 that lost this worker (or whose previous worker was killed) redials,
-ships the spec for the shard's last checkpoint, and replays its op
-journal -- the worker needs no state of its own between connections.
+ships the spec for the shard's last checkpoint, and replays the steps
+since -- the worker needs no state of its own between connections.
 
 Frame payloads are pickle; only listen on trusted networks (see the
 package docstring).

@@ -2,14 +2,14 @@
 
 The serve path's whole premise is that the asyncio loop stays free for
 I/O while accounting computes on the session lanes
-(:class:`~repro.service.async_ingest.BoundedIngestQueue` with
-``offload=True``).  :class:`EventLoopStallMonitor` makes that claim
-measurable instead of aspirational: a sampler task sleeps ``interval``
-seconds and records how much *longer* than that the loop took to wake
-it -- the time some callback held the loop hostage.  An offloaded serve
-run should show stalls bounded by the GIL switch interval (single-digit
-milliseconds); the pre-offload inline drain shows stalls the size of a
-backend round-trip.
+(:class:`~repro.service.async_ingest.BoundedIngestQueue` runs its
+consumer on a lane thread).  :class:`EventLoopStallMonitor` makes that
+claim measurable instead of aspirational: a sampler task sleeps
+``interval`` seconds and records how much *longer* than that the loop
+took to wake it -- the time some callback held the loop hostage.  A
+serve run should show stalls bounded by the GIL switch interval
+(single-digit milliseconds); accounting on the loop thread would show
+stalls the size of a backend round-trip.
 
 Samples land in a registry ring-buffer timeseries (default name
 ``loop.stall.seconds``), so the gauge shows up in ``/metrics`` and

@@ -17,13 +17,13 @@ whenever producers outpace the accounting consumer, the backlog is
 drained as one :class:`~repro.service.window.ReleaseWindow` instead of
 one backend round-trip per item.
 
-With ``offload=True`` the consumer callables run on a dedicated
-single-thread executor (the queue's *lane*) instead of the event loop
-thread.  Ordering is unchanged -- the drain task awaits each round
-before starting the next, so the strictly-sequential recursion order is
-preserved -- but the loop stays free for I/O while a round computes:
-connection readers keep filling the queue, so the next round coalesces
-a *real* backlog instead of whatever trickled in between loop stalls.
+The consumer callables run on a dedicated single-thread executor (the
+queue's *lane*), never on the event loop thread.  Ordering is strict --
+the drain task awaits each round before starting the next, so the
+sequential recursion order is preserved -- and the loop stays free for
+I/O while a round computes: connection readers keep filling the queue,
+so the next round coalesces a *real* backlog instead of whatever
+trickled in between loop stalls.
 Result delivery (future resolution) always happens on the owning loop.
 
 A ``commit`` callable turns the drain into a group-commit pipeline:
@@ -71,7 +71,9 @@ class BoundedIngestQueue:
     process:
         Synchronous callable applied to each submitted item by the drain
         task.  Exceptions it raises are delivered to the submitting
-        awaiter, not swallowed.
+        awaiter, not swallowed.  It runs on the queue's lane thread (as
+        do ``process_batch`` and ``commit``), so it must not touch the
+        event loop.
     maxsize:
         Queue bound; ``submit`` blocks (asynchronously) while the queue
         holds this many unprocessed items.
@@ -87,13 +89,6 @@ class BoundedIngestQueue:
         window validation does -- because when it raises, the round is
         retried item by item through ``process`` so that one poisoned
         submission fails alone instead of failing its whole batch.
-    offload:
-        Run ``process`` / ``process_batch`` (and ``commit``) on a
-        dedicated single-thread executor instead of the event loop
-        thread.  One ordered lane per queue: rounds are still strictly
-        sequential (the drain task awaits each before the next), only
-        the *thread* changes, so results are bit-identical either way.
-        The consumer callables must not touch the event loop.
     commit:
         Optional synchronous group-commit hook.  When set, results of a
         drained round are withheld until ``commit()`` has run; it runs
@@ -137,7 +132,6 @@ class BoundedIngestQueue:
         batch_size: int = 1,
         process_batch: Optional[Callable[[List[Any]], List[Any]]] = None,
         registry=None,
-        offload: bool = False,
         commit: Optional[Callable[[], None]] = None,
     ) -> None:
         if maxsize < 1:
@@ -149,7 +143,6 @@ class BoundedIngestQueue:
         self._registry = registry if registry is not None else NULL_REGISTRY
         self._maxsize = maxsize
         self._batch_size = batch_size
-        self._offload = offload
         self._commit = commit
         self._executor = None  # the lane thread, created on first drain
         self._pending: list = []  # (live, outcomes) awaiting commit
@@ -193,7 +186,6 @@ class BoundedIngestQueue:
             "processed": self.processed,
             "cancelled": self.cancelled,
             "group_commits": self.group_commits,
-            "offload": self._offload,
             "high_watermark": self.high_watermark,
             "batch_high_watermark": self.batch_high_watermark,
         }
@@ -271,7 +263,7 @@ class BoundedIngestQueue:
     def _ensure_started(self) -> None:
         if self._queue is None:
             self._loop = asyncio.get_running_loop()
-            if self._offload and self._executor is None:
+            if self._executor is None:
                 # One thread exactly: the lane.  Rounds stay strictly
                 # sequential because the drain task awaits each one, so
                 # the single worker is an ordering guarantee, not a cap.
@@ -357,7 +349,7 @@ class BoundedIngestQueue:
         """Resolve each submitter's future from its round outcome.  Runs
         on the owning loop (futures are not thread-safe).  A submitter
         that cancelled while its round was computing is simply not
-        resolved -- same as the pre-offload behaviour."""
+        resolved."""
         for entry, (status, value) in zip(live, outcomes):
             future = entry[1]
             if future.cancelled():
@@ -377,10 +369,7 @@ class BoundedIngestQueue:
         self._pending_items = 0
         commit_error: Optional[BaseException] = None
         try:
-            if self._offload:
-                await self._loop.run_in_executor(self._executor, self._commit)
-            else:
-                self._commit()
+            await self._loop.run_in_executor(self._executor, self._commit)
         except BaseException as error:  # noqa: BLE001 -- relayed below
             commit_error = error
             self._registry.counter("queue.commit_failures").inc()
@@ -415,15 +404,11 @@ class BoundedIngestQueue:
             if live:
                 self._observe_wait(live)
                 items = [entry[0] for entry in live]
-                if self._offload:
-                    # The loop is free while the lane computes: readers
-                    # keep enqueuing, so the *next* round coalesces a
-                    # real backlog.
-                    outcomes = await self._loop.run_in_executor(
-                        self._executor, self._run_round, items
-                    )
-                else:
-                    outcomes = self._run_round(items)
+                # The loop is free while the lane computes: readers keep
+                # enqueuing, so the *next* round coalesces a real backlog.
+                outcomes = await self._loop.run_in_executor(
+                    self._executor, self._run_round, items
+                )
                 if self._commit is None:
                     self._deliver(live, outcomes)
                 else:

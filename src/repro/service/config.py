@@ -218,14 +218,6 @@ class SessionConfig:
         both recovery time and log size flat in horizon.
     queue_maxsize:
         Bound of the async ingestion queue (backpressure threshold).
-    queue_offload:
-        Run the accounting consumer on a dedicated worker thread (one
-        ordered lane per session) instead of the event loop thread.
-        Bit-identical either way -- only the thread changes -- but the
-        loop stays free for I/O, so under concurrent serve traffic the
-        queue drains real backlogs as coalesced windows.  Default on;
-        turn off to get the pre-offload inline drain (benchmark
-        baselines do).
     window_size:
         Ingestion window: :meth:`~repro.service.session.ReleaseSession.run`
         coalesces this many snapshots per backend entry, and queued
@@ -258,7 +250,6 @@ class SessionConfig:
     wal_fsync: str = "always"
     wal_compact_every: Optional[int] = None
     queue_maxsize: int = 64
-    queue_offload: bool = True
     window_size: int = 1
     seed: object = None
 

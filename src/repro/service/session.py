@@ -452,7 +452,6 @@ class ReleaseSession:
                 batch_size=self._config.window_size,
                 process_batch=self._process_queued_window,
                 registry=self._registry,
-                offload=self._config.queue_offload,
                 commit=commit,
             )
         return await self._pump.submit((snapshot, epsilon, overrides))
@@ -1022,22 +1021,29 @@ class ReleaseSession:
         shard_addresses=None,
     ) -> AccountantBackend:
         """Reshard a checkpoint into a scratch directory and restore the
-        sharded backend from it (workers load their shard during
-        ``restore``, so the scratch copy is deleted before returning)."""
+        sharded backend from it.  The backend owns the scratch copy and
+        removes it on close: until its next checkpoint, that copy is
+        what a dead worker is rebuilt from."""
         import tempfile
 
         from ..durability.reshard import reshard_checkpoint
         from .sharding import ShardedFleetBackend
 
-        with tempfile.TemporaryDirectory(prefix="repro-reshard-") as scratch:
-            reshard_checkpoint(directory, scratch, shards)
-            return ShardedFleetBackend.restore(
-                scratch,
+        scratch = tempfile.TemporaryDirectory(prefix="repro-reshard-")
+        try:
+            reshard_checkpoint(directory, scratch.name, shards)
+            backend = ShardedFleetBackend.restore(
+                scratch.name,
                 cache=cache,
                 registry=registry,
                 transport=transport,
                 shard_addresses=shard_addresses,
             )
+        except BaseException:
+            scratch.cleanup()
+            raise
+        backend._owned_dir = scratch
+        return backend
 
     def __repr__(self) -> str:
         return (

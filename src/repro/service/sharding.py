@@ -33,19 +33,18 @@ exact.  Checkpoints are one directory holding a shard manifest plus one
 ordinary fleet checkpoint (``.npz`` + manifest) per shard, written and
 restored in parallel.
 
-**Worker failure is recoverable.**  The coordinator keeps an in-memory
-journal of every mutation since the last checkpoint (windows with their
-per-shard override splits, rollbacks).  When a transport fails or an
-rpc times out, the coordinator respawns/reconnects the worker, rebuilds
-its engine from the last checkpoint (or from the original partition
-when none exists), replays the journal for that shard, and re-issues
-the in-flight request -- every replayed operation performs exactly the
-float operations of the uninterrupted run, so a killed worker rejoins
-bit-identically.  Set ``auto_restore=False`` for the old fail-closed
-behaviour (any worker death closes the backend).  ``health_interval``
-adds an opportunistic ping sweep between operations and
-``rpc_timeout`` bounds every reply wait; :meth:`check_health` runs the
-sweep on demand.
+**Worker failure is recoverable.**  The recursions make a shard's state
+a pure function of its correlation models and its budget history, and
+the coordinator already holds the budgets.  Beside them it keeps a
+three-field restore record: the last checkpoint's horizon (``base``),
+the lowest horizon reached since (``low``), and the override splits of
+the steps since that carry any.  When a worker's transport fails, the
+coordinator respawns or redials it, loads the last checkpoint (or the
+original partition when none exists), rolls back ``base - low`` steps,
+applies every budget from ``low`` on as one window, and re-issues the
+in-flight request.  Windowed and per-event ingestion perform the same
+float operations, so a killed worker rejoins bit-identically.  A worker
+that cannot be restored closes the whole backend.
 
 Worker processes are daemonic (they die with the coordinator) and are
 shut down deterministically by :meth:`ShardedFleetBackend.close` (also a
@@ -158,14 +157,6 @@ def shard_dispatch(engine: FleetAccountant, op: str, args):
         return str(save_checkpoint(engine, args))
     if op == "cache_maxsize":
         return engine.cache.maxsize
-    if op == "ping":
-        # Cheap liveness + progress probe: no engine math, answers even
-        # mid-journal so the coordinator's health sweep can tell "slow"
-        # from "gone".
-        return {
-            "horizon": int(engine.epsilons.shape[0]),
-            "n_cohorts": engine.n_cohorts,
-        }
     if op == "describe":
         return {
             "users": list(engine.users),
@@ -231,6 +222,56 @@ def _shard_worker(conn, correlations, restore_dir, cache_maxsize) -> None:
         conn.close()
 
 
+class _RestoreRecord:
+    """What a dead worker needs on top of the last checkpoint.
+
+    ``base`` is the checkpoint's horizon and ``low`` the lowest horizon
+    the stream reached since.  ``overrides`` maps each step since that
+    carries overrides to its per-shard split; the budgets themselves are
+    the coordinator's ``_epsilons``.  Steps enter in increasing order
+    and a rollback drops the newest, so the map trims from its end.
+    """
+
+    __slots__ = ("base", "low", "overrides")
+
+    def __init__(self) -> None:
+        self.reset(0)
+
+    def reset(self, horizon: int) -> None:
+        """A checkpoint at ``horizon`` is the new restore point."""
+        self.base = self.low = horizon
+        self.overrides: Dict[int, List[Dict[Hashable, float]]] = {}
+
+    def extend(self, start: int, splits) -> None:
+        """Record the per-step override splits of a window applied at
+        horizon ``start``."""
+        for offset, split in enumerate(splits):
+            if any(split):
+                self.overrides[start + offset] = split
+
+    def rollback(self, horizon: int) -> None:
+        """The stream was rolled back to ``horizon``."""
+        self.low = min(self.low, horizon)
+        while self.overrides and next(reversed(self.overrides)) >= horizon:
+            self.overrides.popitem()
+
+    def replay(self, index: int, epsilons: List[float]) -> list:
+        """The ops that take shard ``index`` from the checkpoint to the
+        stream's current state (``epsilons`` is the whole budget
+        series): one rollback to ``low``, then every step since as one
+        window."""
+        ops = []
+        if self.base > self.low:
+            ops.append(("rollback", self.base - self.low))
+        if len(epsilons) > self.low:
+            overrides = [
+                self.overrides[step][index] if step in self.overrides else {}
+                for step in range(self.low, len(epsilons))
+            ]
+            ops.append(("add_window", (epsilons[self.low :], overrides)))
+        return ops
+
+
 class ShardedFleetBackend:
     """Cohort-sharded fleet accounting behind the backend protocol.
 
@@ -264,23 +305,6 @@ class ShardedFleetBackend:
         ``transport="socket"`` and ``shards=len(shard_addresses)``.
         Remote restore-from-checkpoint requires the checkpoint
         directory to be reachable from the worker (shared filesystem).
-    auto_restore:
-        When True (default) a failed worker is respawned/reconnected,
-        rebuilt from the last checkpoint (or the original partition) and
-        caught up from the coordinator's op journal -- bit-identically,
-        because every replayed op performs exactly the float operations
-        of the uninterrupted run.  When False any worker failure closes
-        the whole backend (the pre-PR-8 behaviour).
-    health_interval:
-        Seconds between opportunistic ping sweeps, run at operation
-        boundaries (no background thread -- the transports stay
-        single-reader).  None (default) disables the sweep;
-        :meth:`check_health` is always available on demand.
-    rpc_timeout:
-        Per-reply wait bound in seconds.  None (default) waits forever
-        -- alpha-probe solves on large cohorts are legitimately slow,
-        so timeouts are opt-in.  A timed-out shard is treated as dead
-        (restored or failed per ``auto_restore``).
 
     Notes
     -----
@@ -292,6 +316,10 @@ class ShardedFleetBackend:
     shard is touched, and if a shard still fails mid-scatter the
     already-applied shards are rolled back before the error is re-raised
     (the async queue's per-item retry of a failed batch relies on this).
+    A worker whose transport fails is rebuilt from the last checkpoint
+    and the restore record, and its in-flight request re-issued (see the
+    module docstring); a worker that cannot be rebuilt closes the
+    backend.
     """
 
     name = "sharded"
@@ -306,10 +334,33 @@ class ShardedFleetBackend:
         registry=None,
         transport: str = "pipe",
         shard_addresses=None,
-        auto_restore: bool = True,
-        health_interval: Optional[float] = None,
-        rpc_timeout: Optional[float] = None,
     ) -> None:
+        shards = self._init_runtime(
+            transport, shard_addresses, shards, registry
+        )
+        # Import here: backends imports this module lazily (make_backend)
+        # and this module needs backends' normaliser -- a top-level import
+        # each way would be a cycle.
+        from .backends import normalise_correlations
+
+        users = normalise_correlations(correlations)
+        partitions: List[Dict[Hashable, object]] = [{} for _ in range(shards)]
+        self._user_shard: Dict[Hashable, int] = {}
+        for user, value in users.items():
+            pair = normalise_pair(value)
+            index = shard_of_digest(correlation_digest(*pair), shards)
+            partitions[index][user] = pair
+            self._user_shard[user] = index
+        maxsize = cache.maxsize if cache is not None else None
+        self._specs = [(p, None, maxsize) for p in partitions]
+        self._start_workers()
+
+    def _init_runtime(
+        self, transport: str, shard_addresses, shards: int, registry
+    ) -> int:
+        """Validate the transport options and set the state shared by
+        ``__init__`` and :meth:`restore`; returns the shard count (one
+        per address when ``shard_addresses`` is given)."""
         if shard_addresses is not None:
             addresses = [parse_address(a) for a in shard_addresses]
             if not addresses:
@@ -326,60 +377,23 @@ class ShardedFleetBackend:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self._registry = registry if registry is not None else NULL_REGISTRY
-        self._init_runtime(
-            transport=transport,
-            addresses=addresses,
-            auto_restore=auto_restore,
-            health_interval=health_interval,
-            rpc_timeout=rpc_timeout,
-        )
-        # Import here: backends imports this module lazily (make_backend)
-        # and this module needs backends' normaliser -- a top-level import
-        # each way would be a cycle.
-        from .backends import normalise_correlations
-
-        users = normalise_correlations(correlations)
-        partitions: List[Dict[Hashable, object]] = [{} for _ in range(shards)]
-        self._user_shard: Dict[Hashable, int] = {}
-        for user, value in users.items():
-            pair = normalise_pair(value)
-            index = shard_of_digest(correlation_digest(*pair), shards)
-            partitions[index][user] = pair
-            self._user_shard[user] = index
-        self._epsilons: List[float] = []
-        maxsize = cache.maxsize if cache is not None else None
-        self._specs = [(p, None, maxsize) for p in partitions]
-        self._start_workers(self._specs)
-
-    def _init_runtime(
-        self,
-        *,
-        transport: str,
-        addresses,
-        auto_restore: bool,
-        health_interval: Optional[float],
-        rpc_timeout: Optional[float],
-    ) -> None:
-        """Transport/recovery state shared by ``__init__`` and
-        :meth:`restore`."""
         self._transport_kind = transport
         self._addresses: Optional[List[Tuple[str, int]]] = addresses
-        self._auto_restore = auto_restore
-        self._health_interval = health_interval
-        self._rpc_timeout = rpc_timeout
         self._transports: Optional[List[Optional[ShardTransport]]] = None
         self._procs: Optional[list] = None
-        self._journal: list = []
-        self._checkpoint_dir: Optional[str] = None
-        self._recovering = False
-        self._last_health = time.monotonic()
+        self._epsilons: List[float] = []
+        self._record = _RestoreRecord()
+        # A resharded copy of a checkpoint that this backend restores
+        # from; removed on close (see ReleaseSession._restore_resharded).
+        self._owned_dir = None
+        return shards
 
     # -- worker lifecycle ----------------------------------------------
     def _launch(self, index: int, spec):
         """Start (or dial) one worker and ship its spec; returns
         ``(transport, process-or-None)``.  The engine-ready handshake is
-        *not* consumed here -- callers gather it so startup stays
-        parallel across shards."""
+        *not* consumed here -- callers read it so startup stays parallel
+        across shards."""
         if self._transport_kind == "pipe":
             ctx = _mp_context()
             parent, child = ctx.Pipe()
@@ -440,11 +454,19 @@ class ShardedFleetBackend:
                 time.sleep(min(0.2 * (attempt + 1), 1.0))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _start_workers(self, specs) -> None:
+    @staticmethod
+    def _expect_ok(transport: ShardTransport):
+        """Read one reply, re-raising a relayed error payload."""
+        status, payload = transport.recv()
+        if status == "error":
+            raise payload
+        return payload
+
+    def _start_workers(self) -> None:
         transports: List[Optional[ShardTransport]] = []
         procs = []
         try:
-            for index, spec in enumerate(specs):
+            for index, spec in enumerate(self._specs):
                 transport, proc = self._launch(index, spec)
                 transports.append(transport)
                 procs.append(proc)
@@ -462,7 +484,8 @@ class ShardedFleetBackend:
             # (or relays the real setup exception -- a missing shard
             # checkpoint surfaces as its FileNotFoundError, not as an
             # opaque dead pipe on the first command).
-            self._gather([(i, None, None) for i in range(len(transports))])
+            for transport in transports:
+                self._expect_ok(transport)
         except BaseException:
             self.close()
             raise
@@ -471,6 +494,10 @@ class ShardedFleetBackend:
         """Shut the worker processes down (idempotent).  A closed backend
         answers no further queries; close it only when the session is
         done with it."""
+        if self._owned_dir is not None:
+            # Only a rebuild source: the workers hold their engines.
+            self._owned_dir.cleanup()
+            self._owned_dir = None
         if self._transports is None:
             return
         live = [t for t in self._transports if t is not None]
@@ -508,17 +535,6 @@ class ShardedFleetBackend:
             pass
 
     # -- recovery -------------------------------------------------------
-    def _restore_spec(self, index: int):
-        """What to rebuild shard ``index``'s engine from: the last
-        checkpoint when one exists (the journal covers everything
-        since), else the shard's original construction spec (the
-        journal covers the backend's whole lifetime)."""
-        correlations, restore_dir, maxsize = self._specs[index]
-        if self._checkpoint_dir is not None:
-            shard_dir = str(Path(self._checkpoint_dir) / f"shard_{index}")
-            return (None, shard_dir, maxsize)
-        return (correlations, restore_dir, maxsize)
-
     def _teardown_worker(self, index: int) -> None:
         transport = self._transports[index]
         if transport is not None:
@@ -530,152 +546,26 @@ class ShardedFleetBackend:
             proc.join(timeout=5)
             self._procs[index] = None
 
-    def _restore_shard(self, index: int, cause: BaseException) -> None:
-        """Bring a dead/unresponsive shard back bit-identically:
-        respawn or redial it, rebuild its engine from the last
-        checkpoint (or original partition), replay the op journal.
-        Failure at any point -- or ``auto_restore=False`` -- falls back
-        to :meth:`_fail` (close the backend, raise)."""
-        if (
-            not self._auto_restore
-            or self._recovering
-            or self._transports is None
-        ):
-            self._fail(index, cause)
-        self._recovering = True
+    def _restore_shard(self, index: int) -> None:
+        """Bring a dead shard back bit-identically: respawn or redial
+        it, rebuild its engine from the last checkpoint (or the original
+        partition) and replay the restore record.  Any failure on the
+        way falls back to :meth:`_fail` (close the backend, raise)."""
         try:
             self._registry.counter("shard.restores", shard=index).inc()
             with self._registry.span("shard.restore.seconds"):
                 self._teardown_worker(index)
-                transport, proc = self._launch(
-                    index, self._restore_spec(index)
-                )
+                transport, proc = self._launch(index, self._specs[index])
                 self._transports[index] = transport
                 self._procs[index] = proc
-                status, payload = transport.recv(timeout=self._rpc_timeout)
-                if status == "error":
-                    raise payload
-                for entry in self._journal:
-                    if entry[0] == "window":
-                        _, epsilons, split = entry
-                        transport.send(
-                            ("add_window", (epsilons, split[index]))
-                        )
-                    else:
-                        transport.send(("rollback", entry[1]))
-                    status, payload = transport.recv(
-                        timeout=self._rpc_timeout
-                    )
-                    if status == "error":
-                        # Journal entries all succeeded once; a replay
-                        # error means the restore source is unusable.
-                        raise payload
+                self._expect_ok(transport)  # engine-ready handshake
+                for message in self._record.replay(index, self._epsilons):
+                    transport.send(message)
+                    # Every replayed step succeeded once; an error here
+                    # means the restore source is unusable.
+                    self._expect_ok(transport)
         except BaseException as error:  # noqa: BLE001 -- downgraded to fail
             self._fail(index, error)
-        finally:
-            self._recovering = False
-
-    def _journal_window(self, epsilons, split) -> None:
-        self._journal.append(("window", list(epsilons), split))
-
-    def _journal_rollback(self, n: int) -> None:
-        """Fold a rollback into the journal.  Trailing window entries
-        are truncated outright -- the session's probe-and-rollback alpha
-        bisection would otherwise grow the journal by two entries per
-        probe -- and only underflow past the journal's start survives as
-        a leading ``("rollback", k)`` against the checkpoint."""
-        remaining = n
-        while remaining and self._journal and self._journal[-1][0] == "window":
-            _, epsilons, split = self._journal[-1]
-            steps = len(epsilons)
-            if steps <= remaining:
-                self._journal.pop()
-                remaining -= steps
-            else:
-                keep = steps - remaining
-                self._journal[-1] = (
-                    "window",
-                    epsilons[:keep],
-                    [shard_steps[:keep] for shard_steps in split],
-                )
-                remaining = 0
-        if remaining:
-            if self._journal and self._journal[-1][0] == "rollback":
-                self._journal[-1] = (
-                    "rollback",
-                    self._journal[-1][1] + remaining,
-                )
-            else:
-                self._journal.append(("rollback", remaining))
-
-    def check_health(
-        self,
-        *,
-        timeout: float = 5.0,
-        restore: Optional[bool] = None,
-    ) -> List[dict]:
-        """Ping every shard; returns one report dict per shard.
-
-        A shard that cannot answer within ``timeout`` seconds is treated
-        as dead: restored in place (default, per ``auto_restore``) or --
-        with ``restore=False`` -- reported ``alive: False`` with its
-        transport closed, so the next operation triggers the normal
-        restore-or-fail path instead of misreading a late reply.
-        """
-        self._require_open()
-        if restore is None:
-            restore = self._auto_restore
-        self._registry.counter("shard.health.sweeps").inc()
-        reports = []
-        for index in range(len(self._transports)):
-            t0 = time.perf_counter()
-            try:
-                transport = self._transports[index]
-                transport.send(("ping", None))
-                status, payload = transport.recv(timeout=timeout)
-                if status == "error":  # pragma: no cover - protocol bug
-                    raise payload
-                reports.append(
-                    {
-                        "shard": index,
-                        "alive": True,
-                        "restored": False,
-                        "horizon": payload["horizon"],
-                        "latency_ms": (time.perf_counter() - t0) * 1e3,
-                    }
-                )
-            except (TransportClosed, TransportTimeout) as error:
-                if restore:
-                    self._restore_shard(index, error)
-                    reports.append(
-                        {
-                            "shard": index,
-                            "alive": True,
-                            "restored": True,
-                            "horizon": len(self._epsilons),
-                            "latency_ms": None,
-                        }
-                    )
-                else:
-                    self._transports[index].close()
-                    reports.append(
-                        {
-                            "shard": index,
-                            "alive": False,
-                            "restored": False,
-                            "horizon": None,
-                            "latency_ms": None,
-                        }
-                    )
-        return reports
-
-    def _maybe_health(self) -> None:
-        if self._health_interval is None or self._recovering:
-            return
-        now = time.monotonic()
-        if now - self._last_health >= self._health_interval:
-            self._last_health = now
-            self.check_health()
 
     # -- scatter/gather plumbing ---------------------------------------
     def _require_open(self) -> None:
@@ -683,13 +573,13 @@ class ShardedFleetBackend:
             raise RuntimeError("ShardedFleetBackend is closed")
 
     def _fail(self, index: int, error: BaseException):
-        """A shard is gone for good (worker death with
-        ``auto_restore=False``, or a failed restore).  Its cohorts'
-        accounting state cannot be recovered, so the backend as a whole
-        can no longer answer honestly -- and surviving shards may hold
-        unread replies that would desynchronise the rpc protocol.  Tear
-        everything down and surface one clear error; every subsequent
-        call raises the explicit "closed" RuntimeError."""
+        """A shard is gone for good (its restore, or the request
+        re-issued after it, failed).  Its cohorts' accounting state
+        cannot be recovered, so the backend as a whole can no longer
+        answer honestly -- and surviving shards may hold unread replies
+        that would desynchronise the rpc protocol.  Tear everything down
+        and surface one clear error; every subsequent call raises the
+        explicit "closed" RuntimeError."""
         self.close()
         raise RuntimeError(
             f"shard {index} terminated unexpectedly; backend closed"
@@ -698,104 +588,99 @@ class ShardedFleetBackend:
     def _send(self, index: int, op, args=None) -> None:
         try:
             self._transports[index].send((op, args))
-        except (TransportClosed, OSError) as error:
-            self._restore_shard(index, error)
+        except (TransportClosed, OSError):
+            self._restore_shard(index)
             try:
                 self._transports[index].send((op, args))
             except (TransportClosed, OSError) as retry_error:
                 self._fail(index, retry_error)
 
-    def _recv(self, index: int, op=None, args=None):
+    def _recv(self, index: int, op, args):
         """Collect one reply from shard ``index``.  On transport failure
-        or timeout the shard is restored (journal replay) and the
-        in-flight ``(op, args)`` -- lost with the old worker -- is
-        re-issued exactly once."""
+        the shard is restored and the in-flight ``(op, args)`` -- lost
+        with the old worker -- is re-issued exactly once."""
         try:
-            return self._transports[index].recv(timeout=self._rpc_timeout)
-        except (TransportClosed, TransportTimeout, OSError) as error:
-            self._restore_shard(index, error)
+            return self._transports[index].recv()
+        except (TransportClosed, OSError):
+            self._restore_shard(index)
             try:
                 self._transports[index].send((op, args))
-                return self._transports[index].recv(
-                    timeout=self._rpc_timeout
-                )
-            except (TransportClosed, TransportTimeout, OSError) as retry:
+                return self._transports[index].recv()
+            except (TransportClosed, OSError) as retry:
                 self._fail(index, retry)
 
+    def _scatter(self, requests) -> list:
+        """Send every ``(index, op, args)`` request, then collect one
+        reply per request; returns the raw ``(status, payload)``
+        outcomes in request order.
+
+        Replies are polled for and read in completion order, and each
+        shard's ``shard.rpc.seconds`` label is recorded when *its* reply
+        turned up -- a fixed-order read would fold every earlier shard's
+        wait into later shards' labels, so the slowest shard would
+        dominate all of them.  A shard that dies is restored and its
+        request re-issued; one that cannot be restored closes the
+        backend.
+        """
+        self._require_open()
+        registry = self._registry
+        t0 = time.perf_counter() if registry.enabled else 0.0
+        for index, op, args in requests:
+            self._send(index, op, args)
+        if registry.enabled:
+            registry.histogram("shard.scatter.seconds").observe(
+                time.perf_counter() - t0
+            )
+        pending = dict(enumerate(requests))
+        outcomes: list = [None] * len(requests)
+        while pending:
+            ready = [
+                slot
+                for slot, (index, _, _) in pending.items()
+                if self._transports[index].poll(0.0)
+            ]
+            if not ready:
+                oldest = min(pending)
+                if not self._transports[pending[oldest][0]].poll(0.005):
+                    continue
+                ready = [oldest]
+            for slot in ready:
+                index, op, args = pending.pop(slot)
+                outcomes[slot] = self._recv(index, op, args)
+                if registry.enabled:
+                    registry.histogram(
+                        "shard.rpc.seconds", shard=index
+                    ).observe(time.perf_counter() - t0)
+        return outcomes
+
     def _gather(self, requests) -> list:
-        """Receive one reply per ``(index, op, args)`` request,
-        re-raising the first *error payload* only after every reply has
-        been collected (no shard is left with an unread response in its
-        channel).  A shard dying mid-gather is restored and its request
-        re-issued; an unrestorable shard closes the whole backend."""
-        outcomes = [self._recv(i, op, args) for i, op, args in requests]
+        """:meth:`_scatter`, returning the payloads and re-raising the
+        first error payload -- only after every reply has been collected,
+        so no shard is left with an unread response in its channel."""
+        outcomes = self._scatter(requests)
         for status, payload in outcomes:
             if status == "error":
                 raise payload
         return [payload for _, payload in outcomes]
 
-    def _timed_gather(self, requests, *, t0: float) -> list:
-        """Collect one reply per ``(index, op, args)`` request in
-        completion order, returning the raw ``(status, payload)``
-        outcomes in *request* order.
-
-        Unlike :meth:`_gather`'s fixed-order blocking reads, replies are
-        polled for and read as they arrive, and each shard's
-        ``shard.rpc.seconds`` label is recorded at the moment *its*
-        reply turned up -- a fixed-order gather folds every earlier
-        shard's wait into later shards' labels, so the slowest shard
-        used to dominate all of them.  Restore/reissue and rpc-deadline
-        semantics are unchanged: a shard that stays silent past
-        ``rpc_timeout`` is read with the ordinary blocking ``_recv``,
-        which times out, restores and re-issues exactly as before.
-        """
-        registry = self._registry
-        pending = dict(enumerate(requests))
-        outcomes: list = [None] * len(requests)
-
-        def collect(slot: int) -> None:
-            index, op, args = pending.pop(slot)
-            outcomes[slot] = self._recv(index, op, args)
-            if registry.enabled:
-                registry.histogram(
-                    "shard.rpc.seconds", shard=index
-                ).observe(time.perf_counter() - t0)
-
-        start = time.monotonic()
-        while pending:
-            progressed = False
-            for slot in sorted(pending):
-                if self._transports[pending[slot][0]].poll(0.0):
-                    collect(slot)
-                    progressed = True
-            if progressed or not pending:
-                continue
-            oldest = min(pending)
-            if (
-                self._rpc_timeout is not None
-                and time.monotonic() - start > self._rpc_timeout
-            ):
-                # Nothing arrived within the rpc deadline: fall back to
-                # the blocking read so the transport timeout (and the
-                # restore-and-reissue it triggers) fires normally.
-                collect(oldest)
-            elif self._transports[pending[oldest][0]].poll(0.005):
-                collect(oldest)
-        return outcomes
-
     def _broadcast(self, op, args=None) -> list:
-        self._require_open()
-        self._maybe_health()
-        for index in range(len(self._transports)):
-            self._send(index, op, args)
-        return self._gather(
-            [(i, op, args) for i in range(len(self._transports))]
-        )
+        return self._gather([(i, op, args) for i in range(self.n_shards)])
 
     def _call(self, index: int, op, args=None):
-        self._require_open()
-        self._send(index, op, args)
         return self._gather([(index, op, args)])[0]
+
+    def _split_overrides(self, overrides) -> List[Dict[Hashable, float]]:
+        """Route one step's per-user overrides to the shards owning those
+        users, validated in the order the single-process engine
+        validates them."""
+        split: List[Dict[Hashable, float]] = [{} for _ in self._transports]
+        for user, eps_u in (overrides or {}).items():
+            owner = self._user_shard.get(user)
+            if owner is None:
+                raise KeyError(f"override for unknown user {user!r}")
+            validate_epsilon(eps_u, name="override epsilon")
+            split[owner][user] = eps_u
+        return split
 
     # -- stream interface ----------------------------------------------
     def add_window(self, window: ReleaseWindow) -> WindowResult:
@@ -819,37 +704,19 @@ class ShardedFleetBackend:
     def _add_window(self, window: ReleaseWindow) -> WindowResult:
         from .backends import _resolved_steps
 
-        self._require_open()
-        self._maybe_health()
+        n_shards = self.n_shards
         steps = _resolved_steps(window)
         epsilons = [validate_epsilon(eps) for eps, _ in steps]
-        per_step = [dict(ovr) if ovr else {} for _, ovr in steps]
-        n_shards = len(self._transports)
-        split: List[List[Dict[Hashable, float]]] = [
-            [{} for _ in steps] for _ in range(n_shards)
-        ]
-        for i, step_overrides in enumerate(per_step):
-            for user, eps_u in step_overrides.items():
-                owner = self._user_shard.get(user)
-                if owner is None:
-                    raise KeyError(f"override for unknown user {user!r}")
-                validate_epsilon(eps_u, name="override epsilon")
-                split[owner][i][user] = eps_u
-        registry = self._registry
-        t0 = time.perf_counter() if registry.enabled else 0.0
-        for index in range(n_shards):
-            self._send(index, "add_window", (epsilons, split[index]))
-        if registry.enabled:
-            registry.histogram("shard.scatter.seconds").observe(
-                time.perf_counter() - t0
-            )
-        outcomes = self._timed_gather(
+        splits = [self._split_overrides(ovr) for _, ovr in steps]
+        outcomes = self._scatter(
             [
-                (i, "add_window", (epsilons, split[i]))
+                (i, "add_window", (epsilons, [split[i] for split in splits]))
                 for i in range(n_shards)
-            ],
-            t0=t0,
+            ]
         )
+        start = len(self._epsilons)
+        self._record.extend(start, splits)
+        self._epsilons.extend(epsilons)
         errors = [payload for status, payload in outcomes if status == "error"]
         if errors:
             # Coordinator-side validation makes this unreachable for bad
@@ -857,16 +724,16 @@ class ShardedFleetBackend:
             # SolverError mid-window.  The failing engine already unwound
             # itself (FleetAccountant truncates a half-applied window),
             # so rewinding the shards that applied restores the global
-            # pre-window state exactly.  (These unwind rollbacks are
-            # deliberately not journalled -- the window itself never
-            # was.)
+            # pre-window state exactly.  The record holds the window
+            # until then: a shard that dies mid-rewind is rebuilt to the
+            # post-window state its re-issued rollback expects.
             for index, (status, _) in enumerate(outcomes):
                 if status == "ok":
                     self._call(index, "rollback", len(epsilons))
+            del self._epsilons[start:]
+            self._record.rollback(start)
             raise errors[0]
-        self._epsilons.extend(epsilons)
-        self._journal_window(epsilons, split)
-        with registry.span("shard.merge.seconds"):
+        with self._registry.span("shard.merge.seconds"):
             merged = np.maximum.reduce([payload for _, payload in outcomes])
         return WindowResult(merged)
 
@@ -898,7 +765,7 @@ class ShardedFleetBackend:
             return
         self._broadcast("rollback", n)
         del self._epsilons[len(self._epsilons) - n :]
-        self._journal_rollback(n)
+        self._record.rollback(len(self._epsilons))
 
     def probe_scales(
         self,
@@ -913,29 +780,17 @@ class ShardedFleetBackend:
 
         Validation mirrors :meth:`_add_window` -- same checks in the
         same order, before any shard is touched.  The op mutates
-        nothing, so it is *not* journalled: a worker that dies mid-probe
-        is restored from checkpoint + journal and the re-issued probe
-        (via :meth:`_recv`'s generic restore-and-reissue) answers
+        nothing, so the restore record ignores it: a worker that dies
+        mid-probe is restored and the re-issued probe answers
         bit-identically.
         """
         with self._registry.span(
             "backend.probe_scales.seconds", backend=self.name
         ):
-            self._require_open()
-            self._maybe_health()
+            n_shards = self.n_shards
             epsilon = validate_epsilon(epsilon)
-            per = dict(overrides) if overrides else {}
-            n_shards = len(self._transports)
-            split: List[Dict[Hashable, float]] = [{} for _ in range(n_shards)]
-            for user, eps_u in per.items():
-                owner = self._user_shard.get(user)
-                if owner is None:
-                    raise KeyError(f"override for unknown user {user!r}")
-                validate_epsilon(eps_u, name="override epsilon")
-                split[owner][user] = eps_u
+            split = self._split_overrides(overrides)
             scales = [float(s) for s in scales]
-            for index in range(n_shards):
-                self._send(index, "probe_scales", (epsilon, split[index], scales))
             results = self._gather(
                 [
                     (i, "probe_scales", (epsilon, split[i], scales))
@@ -1002,8 +857,7 @@ class ShardedFleetBackend:
     def shard_sizes(self) -> List[int]:
         """Users per shard -- the balance operators watch when choosing
         a shard count for a given cohort population."""
-        self._require_open()
-        sizes = [0] * len(self._transports)
+        sizes = [0] * self.n_shards
         for index in self._user_shard.values():
             sizes[index] += 1
         return sizes
@@ -1015,31 +869,28 @@ class ShardedFleetBackend:
         Shards persist in parallel (scatter the ``save``, then gather),
         each an ordinary ``.npz`` + manifest fleet checkpoint under
         ``shard_<i>/``.  A successful save becomes the new restore
-        point: the coordinator's op journal is truncated to it.
+        point: dead workers are rebuilt from it, and the restore record
+        starts over at its horizon.
         """
-        self._require_open()
         path = Path(directory)
+        shard_dirs = [str(path / f"shard_{i}") for i in range(self.n_shards)]
         path.mkdir(parents=True, exist_ok=True)
-        for index in range(len(self._transports)):
-            self._send(index, "save", str(path / f"shard_{index}"))
-        self._gather(
-            [
-                (i, "save", str(path / f"shard_{i}"))
-                for i in range(len(self._transports))
-            ]
-        )
+        self._gather([(i, "save", d) for i, d in enumerate(shard_dirs)])
         manifest = {
             "format": _SHARD_FORMAT_VERSION,
             "kind": SHARD_CHECKPOINT_KIND,
-            "shards": len(self._transports),
+            "shards": len(shard_dirs),
             "horizon": self.horizon,
             "n_users": len(self._user_shard),
         }
         (path / SHARD_MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
         )
-        self._checkpoint_dir = str(path)
-        self._journal.clear()
+        self._specs = [
+            (None, shard_dir, maxsize)
+            for shard_dir, (_, _, maxsize) in zip(shard_dirs, self._specs)
+        ]
+        self._record.reset(self.horizon)
         return path
 
     @classmethod
@@ -1053,9 +904,6 @@ class ShardedFleetBackend:
         registry=None,
         transport: str = "pipe",
         shard_addresses=None,
-        auto_restore: bool = True,
-        health_interval: Optional[float] = None,
-        rpc_timeout: Optional[float] = None,
     ) -> "ShardedFleetBackend":
         """Rebuild a backend from :meth:`save` output.
 
@@ -1065,7 +913,7 @@ class ShardedFleetBackend:
         caches (as in the constructor).  The checkpoint dictates the
         shard count; passing an explicit conflicting ``shards`` is an
         error (cohort -> shard assignment is part of the persisted
-        state).  Transport/recovery options mirror the constructor.
+        state).  Transport options mirror the constructor.
         """
         directory = Path(directory)
         manifest = json.loads(
@@ -1085,37 +933,21 @@ class ShardedFleetBackend:
                 f"{saved_shards} shards but the config requests {shards}; "
                 "re-sharding a checkpoint is not supported"
             )
-        if shard_addresses is not None:
-            addresses = [parse_address(a) for a in shard_addresses]
-            if len(addresses) != saved_shards:
-                raise ValueError(
-                    f"checkpoint in {directory} holds {saved_shards} "
-                    f"shards but {len(addresses)} shard addresses given"
-                )
-            transport = "socket"
-        else:
-            addresses = None
-        if transport not in SHARD_TRANSPORTS:
-            raise ValueError(
-                f"unknown shard transport {transport!r}; "
-                f"expected one of {SHARD_TRANSPORTS}"
-            )
         self = cls.__new__(cls)
-        self._registry = registry if registry is not None else NULL_REGISTRY
-        self._init_runtime(
-            transport=transport,
-            addresses=addresses,
-            auto_restore=auto_restore,
-            health_interval=health_interval,
-            rpc_timeout=rpc_timeout,
+        given = self._init_runtime(
+            transport, shard_addresses, saved_shards, registry
         )
+        if given != saved_shards:
+            raise ValueError(
+                f"checkpoint in {directory} holds {saved_shards} "
+                f"shards but {given} shard addresses given"
+            )
         maxsize = cache.maxsize if cache is not None else None
         self._specs = [
             (None, str(directory / f"shard_{i}"), maxsize)
             for i in range(saved_shards)
         ]
-        self._checkpoint_dir = str(directory)
-        self._start_workers(self._specs)
+        self._start_workers()
         self._user_shard = {}
         descriptions = self._broadcast("describe")
         for index, description in enumerate(descriptions):
@@ -1143,6 +975,7 @@ class ShardedFleetBackend:
                 f"corrupt sharded checkpoint: manifest horizon "
                 f"{manifest['horizon']} != shard horizon {len(self._epsilons)}"
             )
+        self._record.reset(len(self._epsilons))
         return self
 
     def __repr__(self) -> str:

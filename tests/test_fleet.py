@@ -311,6 +311,42 @@ class TestEngineBehaviour:
         # The late joiner's single release is leakage eps (no history).
         assert late.tpl[0] == pytest.approx(0.1)
 
+    def test_rollback_past_a_join_is_refused_unchanged(self, models):
+        """Rolling back below a mid-stream join used to pop the epsilon,
+        then die with IndexError on the joiner's empty series, leaving
+        the state half-changed.  It is refused up front, naming the user
+        and the join horizon; rolling back *to* the join still works."""
+        pair = (models[0], models[0])
+        fleet = FleetAccountant({"early": pair})
+        fleet.add_release(0.1)
+        fleet.add_release(0.2)
+        fleet.add_user("late", pair)
+        fleet.add_user("solo", pair)
+        fleet.add_release(0.3, overrides={"solo": 0.05})  # override row
+        before = {u: fleet.profile(u) for u in fleet.users}
+        worst = fleet.max_tpl()
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="joined at horizon 2"):
+                fleet.rollback(n)
+            assert fleet.horizon == 3
+            assert fleet.max_tpl() == worst
+            for user, profile in before.items():
+                np.testing.assert_array_equal(
+                    fleet.profile(user).tpl, profile.tpl
+                )
+        fleet.rollback(1)
+        assert fleet.horizon == 2
+        assert fleet.profile("late").horizon == 0
+        with pytest.raises(ValueError, match="user 'late' joined at horizon 2"):
+            fleet.rollback_last()
+        assert fleet.horizon == 2
+        reference = FleetAccountant({"early": pair})
+        reference.add_release(0.1)
+        reference.add_release(0.2)
+        np.testing.assert_array_equal(
+            fleet.profile("early").tpl, reference.profile("early").tpl
+        )
+
     def test_remove_user_drops_their_leakage(self, models):
         strong = identity_matrix(2)
         weak = uniform_matrix(2)

@@ -5,7 +5,7 @@ the framed socket transport answers bit-identically to the pipe
 transport (and therefore to the single-process fleet backend) --
 events with noise, worst-case TPL, per-user leakage series, alpha
 decisions -- including after a worker is SIGKILLed mid-stream and the
-coordinator reconnects-with-restore from its journal.
+coordinator reconnects-with-restore from its restore record.
 """
 
 import os
@@ -134,7 +134,7 @@ def fixed_population():
 @pytest.mark.parametrize("kill_at", [1, 3])
 def test_worker_kill_mid_stream_restores_bit_identity(transport, kill_at):
     """SIGKILL a shard worker mid-stream: the coordinator reconnects,
-    replays its journal, re-issues the in-flight op -- and the stream's
+    replays its restore record, re-issues the in-flight op -- and the stream's
     remainder stays bit-identical to an undisturbed session.  This is
     the reconnect-with-restore acceptance criterion, on both
     transports."""
@@ -154,9 +154,9 @@ def test_worker_kill_mid_stream_restores_bit_identity(transport, kill_at):
 
 @pytest.mark.parametrize("transport", ["pipe", "socket"])
 def test_worker_kill_during_alpha_clamp_stream(transport):
-    """The clamp policy's probe-and-rollback bisection exercises the
-    journal's rollback merging; a worker killed in the middle of such a
-    stream must still land bit-identical."""
+    """The clamp policy's rollbacks lower the restore record's ``low``
+    mark; a worker killed in the middle of such a stream must still
+    land bit-identical."""
     population = fixed_population()
     stream = [(0.5, None), (0.6, None), (0.7, None), (0.4, None)]
     reference = make_session(population, 1.2, "clamp", 13, "pipe")
@@ -174,9 +174,9 @@ def test_worker_kill_during_alpha_clamp_stream(transport):
 
 @pytest.mark.parametrize("transport", ["pipe", "socket"])
 def test_kill_then_checkpoint_then_kill(transport, tmp_path):
-    """A save() after a restore clears the journal; a second kill must
-    restore from the fresh checkpoint, not replay stale journal
-    entries."""
+    """A save() after a restore resets the restore record; a second
+    kill must restore from the fresh checkpoint, not replay steps the
+    checkpoint already holds."""
     population = fixed_population()
     reference = make_session(population, None, "reject", 21, "pipe")
     try:
@@ -211,9 +211,9 @@ def session_ingest(session, snapshot, epsilon, overrides):
 
 @pytest.mark.parametrize("transport", ["pipe", "socket"])
 def test_batched_probe_survives_worker_kill(transport):
-    """``probe_scales`` is read-only and deliberately not journalled: a
+    """``probe_scales`` is read-only and the restore record ignores it: a
     worker SIGKILLed right before a clamp-heavy step is restored from
-    the journal and re-serves the whole probe batch, and the clamped
+    the record and re-serves the whole probe batch, and the clamped
     scales stay bit-identical to an in-process fleet session -- both
     against the batched bisection and the serial reference loop."""
     population = fixed_population()

@@ -397,25 +397,9 @@ class TestAingest:
 
 
 class TestOffloadAndGroupCommit:
-    """The executor-offloaded lane and the group-commit hook must be
-    invisible to submitters: same results, same ordering, same failure
-    isolation -- only the thread (and the commit cadence) changes."""
-
-    def test_offload_results_match_inline(self):
-        def process(x):
-            return x * 2
-
-        async def drive(offload):
-            queue = BoundedIngestQueue(process, maxsize=4, offload=offload)
-            results = await asyncio.gather(*(queue.submit(i) for i in range(10)))
-            await queue.close()
-            return results, queue.stats()
-
-        inline, inline_stats = asyncio.run(drive(False))
-        offloaded, offload_stats = asyncio.run(drive(True))
-        assert inline == offloaded == [i * 2 for i in range(10)]
-        assert inline_stats["offload"] is False
-        assert offload_stats["offload"] is True
+    """The lane thread and the group-commit hook must be invisible to
+    submitters: same results, same ordering, same failure isolation --
+    only the thread (and the commit cadence) changes."""
 
     def test_offload_runs_consumer_off_the_loop_thread(self):
         import threading
@@ -427,7 +411,7 @@ class TestOffloadAndGroupCommit:
             return x
 
         async def drive():
-            queue = BoundedIngestQueue(process, maxsize=2, offload=True)
+            queue = BoundedIngestQueue(process, maxsize=2)
             await asyncio.gather(*(queue.submit(i) for i in range(3)))
             await queue.close()
 
@@ -455,7 +439,6 @@ class TestOffloadAndGroupCommit:
                 maxsize=8,
                 batch_size=8,
                 process_batch=process_batch,
-                offload=True,
             )
             results = await asyncio.gather(
                 *(queue.submit(x) for x in [1, "bad", 3]),
@@ -470,7 +453,7 @@ class TestOffloadAndGroupCommit:
         assert str(results[1]) == "boom bad"
 
     def test_offload_survives_close_and_rebind(self):
-        queue = BoundedIngestQueue(lambda x: x + 1, maxsize=2, offload=True)
+        queue = BoundedIngestQueue(lambda x: x + 1, maxsize=2)
 
         async def drive(values):
             results = await asyncio.gather(*(queue.submit(v) for v in values))
@@ -481,8 +464,7 @@ class TestOffloadAndGroupCommit:
         # A fresh loop after close(): the lane is recreated transparently.
         assert asyncio.run(drive([10, 20])) == [11, 21]
 
-    @pytest.mark.parametrize("offload", [False, True])
-    def test_group_commit_runs_once_per_burst(self, offload):
+    def test_group_commit_runs_once_per_burst(self):
         commits = []
 
         def commit():
@@ -494,7 +476,6 @@ class TestOffloadAndGroupCommit:
                 maxsize=8,
                 batch_size=4,
                 process_batch=lambda items: list(items),
-                offload=offload,
                 commit=commit,
             )
             results = await asyncio.gather(*(queue.submit(i) for i in range(8)))
@@ -508,8 +489,7 @@ class TestOffloadAndGroupCommit:
         assert 1 <= len(commits) <= 2
         assert stats["group_commits"] == len(commits)
 
-    @pytest.mark.parametrize("offload", [False, True])
-    def test_commit_failure_reaches_every_submitter_in_the_burst(self, offload):
+    def test_commit_failure_reaches_every_submitter_in_the_burst(self):
         def commit():
             raise OSError("disk full")
 
@@ -519,7 +499,6 @@ class TestOffloadAndGroupCommit:
                 maxsize=4,
                 batch_size=4,
                 process_batch=lambda items: list(items),
-                offload=offload,
                 commit=commit,
             )
             results = await asyncio.gather(

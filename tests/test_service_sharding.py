@@ -9,7 +9,11 @@ bisection), per-user overrides (routed to the owning shard), and
 checkpoint/restore taken mid-stream.
 """
 
+import dataclasses
+import os
+import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +33,10 @@ from repro.markov import two_state_matrix
 from repro.service import (
     FleetAccountantBackend,
     ReleaseSession,
+    ReleaseWindow,
     SessionConfig,
     ShardedFleetBackend,
+    WindowStep,
     make_backend,
     shard_of_digest,
 )
@@ -160,6 +166,86 @@ def test_sharded_checkpoint_restore_mid_stream(population, stream, seed, tmp_pat
         restored.close()
 
 
+RECORD_USERS = 6
+_budgets = st.sampled_from([0.0, 0.05, 0.1, 0.3])
+_overrides = st.dictionaries(
+    st.integers(0, RECORD_USERS - 1), _budgets, max_size=2
+)
+_record_ops = st.tuples(
+    st.sampled_from([None, None, 0, 1]),  # shard to SIGKILL before the op
+    st.sampled_from(["window", "window", "rollback", "save", "probe"]),
+    st.lists(st.tuples(_budgets, _overrides), min_size=1, max_size=3),
+    st.integers(1, 4),
+)
+
+
+def record_population():
+    m = two_state_matrix(0.8, 0.1)
+    n = two_state_matrix(0.5, 0.2)
+    k = two_state_matrix(0.9, 0.3)
+    pairs = [(m, m), (n, n), (k, m)]
+    return {u: pairs[u % len(pairs)] for u in range(RECORD_USERS)}
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(program=st.lists(_record_ops, min_size=6, max_size=14))
+def test_restore_record_matches_fleet_through_kills(program, tmp_path_factory):
+    """Random windows with overrides, rollbacks (also below the last
+    checkpoint), saves and probes, each possibly hit by a SIGKILL of a
+    worker just before it: after every op the sharded backend answers
+    exactly as the single-process fleet backend -- worsts, probes, max
+    TPL -- and every user's profile matches at the end.  A killed worker
+    is rebuilt from the last checkpoint (or the original partition) plus
+    the restore record, then the op in flight is re-issued."""
+    directory = tmp_path_factory.mktemp("record")
+    population = record_population()
+    reference = FleetAccountantBackend(population)
+    sharded = ShardedFleetBackend(population, shards=2)
+    scales = [0.25, 0.5, 1.0]
+    try:
+        for step, (victim, op, steps, n) in enumerate(program):
+            if victim is not None:
+                proc = sharded._procs[victim]
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=10)
+            if op == "window":
+                window = ReleaseWindow(
+                    WindowStep(epsilon=eps, overrides=ovr or None)
+                    for eps, ovr in steps
+                )
+                assert np.array_equal(
+                    sharded.add_window(window).max_tpls,
+                    reference.add_window(window).max_tpls,
+                )
+            elif op == "rollback":
+                n = min(n, reference.horizon)
+                reference.rollback(n)
+                sharded.rollback(n)
+            elif op == "save":
+                sharded.save(directory / f"ckpt_{step}")
+            else:
+                eps, ovr = steps[0]
+                assert np.array_equal(
+                    sharded.probe_scales(eps, ovr, scales),
+                    reference.probe_scales(eps, ovr, scales),
+                )
+            assert sharded.horizon == reference.horizon
+            assert sharded.max_tpl() == reference.max_tpl()
+        for user in population:
+            pa = reference.profile(user)
+            pb = sharded.profile(user)
+            assert np.array_equal(pa.epsilons, pb.epsilons)
+            assert np.array_equal(pa.bpl, pb.bpl)
+            assert np.array_equal(pa.fpl, pb.fpl)
+            assert np.array_equal(pa.tpl, pb.tpl)
+    finally:
+        sharded.close()
+
+
 class TestShardOfDigest:
     def test_deterministic_and_in_range(self):
         digests = [f"digest-{i}:none" for i in range(50)]
@@ -237,7 +323,7 @@ class TestBackendLifecycle:
 
     def test_dead_shard_restores_transparently_by_default(self, population):
         """A shard process dying mid-stream is respawned, rebuilt and
-        caught up from the coordinator's op journal: the next query
+        caught up from the coordinator's restore record: the next query
         answers as if nothing happened, bit for bit."""
         backend = ShardedFleetBackend(population, shards=2)
         try:
@@ -254,15 +340,18 @@ class TestBackendLifecycle:
         finally:
             backend.close()
 
-    def test_dead_shard_fails_the_backend_closed(self, population):
-        """With ``auto_restore=False`` a shard death must surface as one
-        clear error and close the backend -- never leave surviving shards
-        with unread replies a later query could misread as its answer."""
-        backend = ShardedFleetBackend(
-            population, shards=2, auto_restore=False
-        )
+    def test_dead_shard_fails_the_backend_closed(self, population, tmp_path):
+        """A dead shard that cannot be restored (its checkpoint is gone)
+        must surface as one clear error and close the backend -- never
+        leave surviving shards with unread replies a later query could
+        misread as its answer."""
+        import shutil
+
+        backend = ShardedFleetBackend(population, shards=2)
         try:
             backend.add_release(0.1)
+            backend.save(tmp_path / "ckpt")
+            shutil.rmtree(tmp_path / "ckpt")
             victim = backend._procs[0]
             victim.terminate()
             victim.join(timeout=5)
@@ -417,6 +506,56 @@ class TestBackendLifecycle:
         finally:
             restored.close()
 
+    def test_resharded_restore_survives_worker_kill(self, population, tmp_path):
+        """A session restored at a different shard count rebuilds a dead
+        worker from its resharded copy, which the backend keeps until it
+        closes (the copy used to be deleted on return, so the next
+        ingest raised 'terminated unexpectedly' from FileNotFoundError).
+        The events after the kill match an uninterrupted restore."""
+        config = SessionConfig(
+            correlations=population,
+            budgets=0.1,
+            query=HistogramQuery(2),
+            backend="fleet",
+            shards=2,
+            seed=5,
+        )
+        rng = np.random.default_rng(3)
+        session = ReleaseSession(config)
+        try:
+            for epsilon in (0.1, 0.2, 0.15):
+                snapshot = rng.integers(0, 2, size=len(population))
+                session.ingest(snapshot, epsilon=epsilon)
+            session.checkpoint(tmp_path)
+        finally:
+            session.close()
+        resharded = dataclasses.replace(config, shards=3)
+        reference = ReleaseSession.restore(resharded, tmp_path)
+        survivor = ReleaseSession.restore(resharded, tmp_path)
+        try:
+            assert survivor.backend.n_shards == 3
+            victim = survivor.backend._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            for epsilon in (0.2, 0.05, 0.3):
+                snapshot = rng.integers(0, 2, size=len(population))
+                a = reference.ingest(snapshot, epsilon=epsilon)
+                b = survivor.ingest(snapshot, epsilon=epsilon)
+                assert a.payload(include_true_answer=True) == b.payload(
+                    include_true_answer=True
+                )
+            assert survivor.max_tpl() == reference.max_tpl()
+            for user in population:
+                pa = reference.profile(user)
+                pb = survivor.profile(user)
+                assert np.array_equal(pa.tpl, pb.tpl)
+            copy = Path(survivor.backend._owned_dir.name)
+            assert copy.exists()
+        finally:
+            reference.close()
+            survivor.close()
+        assert not copy.exists()  # the copy goes with the backend
+
     def test_cache_size_bounds_each_worker_cache(self, population):
         """SessionConfig.cache_size must reach the worker processes: each
         shard's private SolutionCache is built at that size."""
@@ -443,8 +582,9 @@ class TestBackendLifecycle:
 
 class TestTimedGather:
     """``shard.rpc.seconds`` must record each shard's *own* round-trip:
-    the old fixed-order gather folded every earlier shard's wait into
-    later shards' labels, so one slow shard poisoned all of them."""
+    a fixed-order gather folds every earlier shard's wait into later
+    shards' labels, so one slow shard poisoned all of them.  Every
+    scatter goes through the one polling collector, ``_scatter``."""
 
     @staticmethod
     def _fake_backend(delays):
@@ -485,21 +625,13 @@ class TestTimedGather:
         backend = object.__new__(ShardedFleetBackend)
         backend._transports = [FakeTransport(d) for d in delays]
         backend._registry = MetricsRegistry()
-        backend._rpc_timeout = None
         return backend
 
     @pytest.mark.parametrize("slow_first", [True, False])
     def test_rpc_labels_are_order_independent(self, slow_first):
-        import time as _time
-
         delays = [0.15, 0.0] if slow_first else [0.0, 0.15]
         backend = self._fake_backend(delays)
-        for index, transport in enumerate(backend._transports):
-            transport.send(("noop", None))
-        t0 = _time.perf_counter()
-        outcomes = backend._timed_gather(
-            [(i, "noop", None) for i in range(2)], t0=t0
-        )
+        outcomes = backend._scatter([(i, "noop", None) for i in range(2)])
         assert outcomes == [("ok", 42), ("ok", 42)]
         snapshot = backend._registry.snapshot()
         recorded = {

@@ -11,6 +11,10 @@ having attempted the call, on the scalar accountant, the fleet engine,
 both in-process backends, and the process-sharded coordinator.
 """
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -223,5 +227,55 @@ def test_sharded_backend_survives_a_faulting_shard(monkeypatch):
             assert reference == before
         finally:
             faulty.close()
+    finally:
+        backend.close()
+
+
+def test_sharded_rewind_survives_a_worker_death(monkeypatch):
+    """A worker that dies while the coordinator rewinds a failed window
+    is rebuilt to the post-window state its re-issued rollback expects:
+    the window's own error surfaces and the backend ends bit-identical
+    to its pre-window state.  (The rebuilt worker used to come back at
+    the pre-window state, so the re-issued rollback undid releases that
+    were never part of the window.)"""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fault injection into workers requires fork")
+    population = {
+        u: ((M, M) if u % 2 else (two_state_matrix(0.7, 0.1),) * 2)
+        for u in range(4)
+    }
+    original = FleetAccountant.add_window
+
+    def flaky_window(self, epsilons, overrides=None):
+        epsilons = list(epsilons)
+        if 1 in set(self.users) and len(epsilons) == len(WINDOW):
+            raise SolverError("injected fault")
+        return original(self, epsilons, overrides)
+
+    monkeypatch.setattr(FleetAccountant, "add_window", flaky_window)
+    backend = ShardedFleetBackend(population, shards=2)
+    monkeypatch.undo()  # restored workers fork without the fault
+    try:
+        assert backend.shard_of(0) != backend.shard_of(1)
+        reference = FleetAccountantBackend(population)
+        for epsilon in PRELUDE + PRELUDE:  # deeper than the window
+            backend.add_release(epsilon)
+            reference.add_release(epsilon)
+        rewind = backend._call
+
+        def kill_then_call(index, op, args=None):
+            proc = backend._procs[index]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=10)
+            return rewind(index, op, args)
+
+        monkeypatch.setattr(backend, "_call", kill_then_call)
+        with pytest.raises(SolverError, match="injected"):
+            backend.add_window(
+                ReleaseWindow.from_snapshots([None] * len(WINDOW), epsilon=0.3)
+            )
+        monkeypatch.undo()
+        users = list(population)
+        assert _snapshot(backend, users) == _snapshot(reference, users)
     finally:
         backend.close()
