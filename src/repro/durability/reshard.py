@@ -24,7 +24,7 @@ from ..fleet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from ..fleet.engine import FleetAccountant, _CohortState
+from ..fleet.engine import FleetAccountant
 from ..service.backends import SCALAR_MANIFEST_NAME
 from ..service.sharding import (
     SHARD_CHECKPOINT_KIND,
@@ -66,29 +66,6 @@ def _load_source_engines(source: Path) -> List[FleetAccountant]:
     raise ValueError(f"{source} is not a fleet or sharded-fleet checkpoint")
 
 
-def _transplant(state: _CohortState, target: FleetAccountant) -> None:
-    """Move one cohort's persisted state into ``target`` verbatim."""
-    pair = (state.cohort.backward, state.cohort.forward)
-    target_state = None
-
-    def admit(user):
-        nonlocal target_state
-        cohort = target._index.add(user, pair)
-        if target_state is None:
-            target_state = _CohortState(cohort, target.cache)
-            target._states[cohort.key] = target_state
-
-    for start, group in sorted(state.groups.items()):
-        for user in group.members:
-            admit(user)
-            target._user_start[user] = group.start
-        target_state.groups[start] = group
-    for user, series in state.overrides.items():
-        admit(user)
-        target_state.overrides[user] = series
-        target._user_start[user] = series.start
-
-
 def reshard_checkpoint(source, destination, shards: int) -> Path:
     """Rewrite the checkpoint at ``source`` for ``shards`` partitions.
 
@@ -125,12 +102,13 @@ def reshard_checkpoint(source, destination, shards: int) -> Path:
                 f"({engine.alpha}) disagrees with shard 0's ({alpha})"
             )
 
-    targets = [FleetAccountant(alpha=alpha) for _ in range(shards)]
-    for target in targets:
-        target._epsilons = list(epsilons)
+    placed: List[list] = [[] for _ in range(shards)]
     for engine in engines:
-        for key, state in sorted(engine._states.items()):
-            _transplant(state, targets[shard_of_digest(key, shards)])
+        for key, *cohort in engine._cohort_rows():
+            placed[shard_of_digest(key, shards)].append(cohort)
+    targets = [FleetAccountant(alpha=alpha) for _ in range(shards)]
+    for target, cohorts in zip(targets, placed):
+        target._restore(epsilons, cohorts)
 
     destination.mkdir(parents=True, exist_ok=True)
     if shards == 1:

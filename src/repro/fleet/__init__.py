@@ -8,8 +8,10 @@ BPL/FPL/TPL recursions (Eq. 13/15) across the population:
 * :mod:`~repro.fleet.cohorts` -- users grouped by a canonical digest of
   their ``(P_B, P_F)`` correlation pair; one cohort = one recursion.
 * :mod:`~repro.fleet.engine` -- :class:`FleetAccountant`, the vectorised
-  accountant: O(cohorts x T) instead of O(users x T), with a batched
-  ``(members, T)`` path for users on personalised budget schedules.
+  accountant: one series table with a row per (cohort, join time) group
+  -- O(cohorts x T) instead of O(users x T) -- and a row per user on a
+  personalised budget schedule, swept backward by one FPL routine for
+  windows, clamp probes and queries alike.
 * :mod:`~repro.fleet.solution_cache` -- a bounded LRU for Algorithm-1
   solves keyed by ``(matrix digest, alpha)``, shareable with the scalar
   path via :meth:`SolutionCache.install`.
@@ -42,7 +44,7 @@ True
 >>> profile.horizon
 20
 
-Per-user budget overrides ride a vectorised ``(members, T)`` path::
+Per-user budget overrides give the user their own row of the table::
 
     fleet.add_release(0.1, overrides={42: 0.02, 99: 0.5})
 

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..markov.matrix import TransitionMatrix
-from .engine import FleetAccountant, _CohortState, _Group, _OverrideSeries
+from .engine import FleetAccountant
 from .solution_cache import SolutionCache
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -66,10 +66,9 @@ def save_checkpoint(engine: FleetAccountant, path: PathLike) -> Path:
 
     arrays = {"epsilons": engine.epsilons}
     cohorts = []
-    for i, (key, state) in enumerate(sorted(engine._states.items())):
+    for i, (key, pair, groups, overrides) in enumerate(engine._cohort_rows()):
         payload = {"key": key, "backward": None, "forward": None}
-        for side in ("backward", "forward"):
-            matrix: Optional[TransitionMatrix] = getattr(state.cohort, side)
+        for side, matrix in zip(("backward", "forward"), pair):
             if matrix is not None:
                 array_key = f"c{i}_{side}"
                 arrays[array_key] = np.asarray(matrix.array)
@@ -77,33 +76,28 @@ def save_checkpoint(engine: FleetAccountant, path: PathLike) -> Path:
                     "array": array_key,
                     "states": [_encode_user(s) for s in matrix.states],
                 }
-        groups = []
-        for j, group in enumerate(sorted(state.groups.values(), key=lambda g: g.start)):
-            array_key = f"c{i}_g{j}_bpl"
-            arrays[array_key] = np.asarray(group.bpl, dtype=float)
-            groups.append(
+        payload["groups"] = []
+        for j, (start, members, bpl) in enumerate(groups):
+            arrays[f"c{i}_g{j}_bpl"] = bpl
+            payload["groups"].append(
                 {
-                    "start": group.start,
-                    "members": [_encode_user(u) for u in group.members],
-                    "bpl": array_key,
+                    "start": start,
+                    "members": [_encode_user(u) for u in members],
+                    "bpl": f"c{i}_g{j}_bpl",
                 }
             )
-        payload["groups"] = groups
-        overrides = []
-        for k, (user, series) in enumerate(state.overrides.items()):
-            eps_key = f"c{i}_o{k}_eps"
-            bpl_key = f"c{i}_o{k}_bpl"
-            arrays[eps_key] = np.asarray(series.eps, dtype=float)
-            arrays[bpl_key] = np.asarray(series.bpl, dtype=float)
-            overrides.append(
+        payload["overrides"] = []
+        for k, (user, start, eps, bpl) in enumerate(overrides):
+            arrays[f"c{i}_o{k}_eps"] = eps
+            arrays[f"c{i}_o{k}_bpl"] = bpl
+            payload["overrides"].append(
                 {
                     "user": _encode_user(user),
-                    "start": series.start,
-                    "eps": eps_key,
-                    "bpl": bpl_key,
+                    "start": start,
+                    "eps": f"c{i}_o{k}_eps",
+                    "bpl": f"c{i}_o{k}_bpl",
                 }
             )
-        payload["overrides"] = overrides
         cohorts.append(payload)
 
     manifest = {
@@ -139,8 +133,7 @@ def load_checkpoint(
             f"(this build reads version {FORMAT_VERSION})"
         )
     with np.load(directory / ARRAYS_NAME) as arrays:
-        engine = FleetAccountant(alpha=manifest["alpha"], cache=cache)
-        engine._epsilons = [float(e) for e in arrays["epsilons"]]
+        cohorts = []
         for payload in manifest["cohorts"]:
             pair = []
             for side in ("backward", "forward"):
@@ -152,33 +145,24 @@ def load_checkpoint(
                     pair.append(
                         TransitionMatrix(arrays[entry["array"]], states=states)
                     )
-            backward, forward = pair
-            state: Optional[_CohortState] = None
-            for group_payload in payload["groups"]:
-                start = int(group_payload["start"])
-                group = _Group(start)
-                group.bpl = [float(v) for v in arrays[group_payload["bpl"]]]
-                for encoded in group_payload["members"]:
-                    user = _decode_user(encoded)
-                    cohort = engine._index.add(user, (backward, forward))
-                    if state is None:
-                        state = _CohortState(cohort, engine.cache)
-                        engine._states[cohort.key] = state
-                    group.members[user] = None
-                    engine._user_start[user] = start
-                state.groups[start] = group  # type: ignore[union-attr]
-            for override_payload in payload["overrides"]:
-                user = _decode_user(override_payload["user"])
-                cohort = engine._index.add(user, (backward, forward))
-                if state is None:
-                    state = _CohortState(cohort, engine.cache)
-                    engine._states[cohort.key] = state
-                start = int(override_payload["start"])
-                series = _OverrideSeries(
-                    start,
-                    [float(v) for v in arrays[override_payload["eps"]]],
-                    [float(v) for v in arrays[override_payload["bpl"]]],
+            groups = [
+                (
+                    int(group["start"]),
+                    [_decode_user(u) for u in group["members"]],
+                    arrays[group["bpl"]],
                 )
-                state.overrides[user] = series
-                engine._user_start[user] = start
+                for group in payload["groups"]
+            ]
+            overrides = [
+                (
+                    _decode_user(override["user"]),
+                    int(override["start"]),
+                    arrays[override["eps"]],
+                    arrays[override["bpl"]],
+                )
+                for override in payload["overrides"]
+            ]
+            cohorts.append((tuple(pair), groups, overrides))
+        engine = FleetAccountant(alpha=manifest["alpha"], cache=cache)
+        engine._restore(arrays["epsilons"], cohorts)
     return engine

@@ -11,38 +11,39 @@ and the budget schedule -- so every user sharing a ``(P_B, P_F)`` pair
 
 * users are grouped into cohorts by a content digest of their correlation
   pair (:mod:`repro.fleet.cohorts`);
-* each cohort runs **one** ``(T,)``-shaped recursion, broadcast over its
-  members -- O(cohorts x T) instead of O(users x T);
-* users with *per-user epsilon overrides* (personalised budgets) are
-  carried as their own rows, advanced batched with the cohort's other
-  override members;
-* every batched loss evaluation -- BPL extension, window sweep, probe
-  sweep, override FPL -- funnels through
+* one **series table** holds the ``(rows, T)`` eps / BPL / FPL arrays:
+  one row per (cohort, join time) group of default-schedule members --
+  O(cohorts x T) instead of O(users x T) -- and one row per member with
+  *per-user epsilon overrides* (personalised budgets);
+* a release appends one column: every row's BPL step (Eq. 13) is one
+  fused loss evaluation;
+* windows, clamp probes and queries all run **one** backward FPL sweep
+  (Eq. 15, :meth:`FleetAccountant._sweep`) that advances every active row
+  in one update per time point;
+* every batched loss evaluation funnels through
   :func:`repro.core.algorithm1.max_log_ratio_stacked`, fused across
   cohorts, and the memoised ones through one bounded
   :class:`~repro.fleet.solution_cache.SolutionCache`.
 
 The public query surface (``add_release`` / ``profile`` / ``max_tpl`` /
 ``remaining_alpha`` / ``horizon`` / ``epsilons`` / ``users``) matches the
-per-user accountant and returns identical numbers for identical inputs.
+per-user accountant and returns identical numbers for identical inputs;
+the recursions in :mod:`repro.core` are the reference the parity suites
+pin it against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.algorithm1 import max_log_ratio_stacked
 from ..core.budget import validate_epsilon
-from ..core.leakage import (
-    LeakageProfile,
-    backward_privacy_leakage,
-    forward_privacy_leakage,
-)
+from ..core.leakage import LeakageProfile, backward_privacy_leakage
 from ..core.loss_functions import TemporalLossFunction
 from ..exceptions import InvalidPrivacyParameterError
-from ..markov.matrix import TransitionMatrix
 from ..obs.metrics import NULL_REGISTRY
 from .cohorts import Cohort, CohortIndex, normalise_pair
 from .solution_cache import SolutionCache
@@ -55,61 +56,82 @@ _SINGLETON_IDX = np.zeros(1, dtype=np.intp)
 
 
 class _Group:
-    """All default-schedule members of one cohort that joined at the same
-    release index: they share one incremental BPL series."""
+    """The users behind one row of the series table: the default-schedule
+    members of one cohort that joined at the same release index, or a
+    single member on a personalised schedule (an override row)."""
 
-    __slots__ = ("start", "members", "bpl", "_fpl_key", "_fpl")
+    __slots__ = ("start", "members", "row")
 
-    def __init__(self, start: int) -> None:
+    def __init__(self, start: int, members: Dict[Hashable, None]) -> None:
         self.start = start
-        self.members: Dict[Hashable, None] = {}
-        self.bpl: List[float] = []
-        self._fpl_key: Optional[bytes] = None
-        self._fpl: Optional[np.ndarray] = None
-
-
-class _OverrideSeries:
-    """One member with a personalised budget vector (its own epsilon at one
-    or more releases).  BPL is extended batched with the cohort's other
-    override members; FPL runs on the stacked ``(members, T)`` array."""
-
-    __slots__ = ("start", "eps", "bpl")
-
-    def __init__(self, start: int, eps: List[float], bpl: List[float]) -> None:
-        self.start = start
-        self.eps = eps
-        self.bpl = bpl
+        self.members = members
+        self.row = -1
 
 
 class _CohortState:
-    """Accounting state attached to one :class:`~repro.fleet.cohorts.Cohort`."""
+    """The rows of one :class:`~repro.fleet.cohorts.Cohort` and the ids of
+    its backward / forward loss functions."""
 
-    __slots__ = (
-        "cohort",
-        "loss_b",
-        "loss_f",
-        "groups",
-        "overrides",
-        "_override_fpl_key",
-        "_override_fpl",
-    )
+    __slots__ = ("cohort", "loss_b", "loss_f", "groups", "overrides")
 
-    def __init__(self, cohort: Cohort, cache: SolutionCache) -> None:
+    def __init__(self, cohort: Cohort, loss_b: int, loss_f: int) -> None:
         self.cohort = cohort
-        self.loss_b = (
-            TemporalLossFunction(cohort.backward, cache=cache)
-            if cohort.backward is not None
-            else None
-        )
-        self.loss_f = (
-            TemporalLossFunction(cohort.forward, cache=cache)
-            if cohort.forward is not None
-            else None
-        )
+        self.loss_b = loss_b
+        self.loss_f = loss_f
         self.groups: Dict[int, _Group] = {}
-        self.overrides: Dict[Hashable, _OverrideSeries] = {}
-        self._override_fpl_key: Optional[bytes] = None
-        self._override_fpl: Optional[Dict[Hashable, np.ndarray]] = None
+        self.overrides: Dict[Hashable, _Group] = {}
+
+
+class _SeriesTable:
+    """The fleet's leakage state, one row per :class:`_Group`.
+
+    ``series[0|1|2, row, t]`` is the row's epsilon / BPL / FPL at global
+    time ``t`` -- zero before the row's join time, and stale past the
+    horizon (never read).  ``keys[0|1|2, row]`` is its join time and the
+    ids of its backward / forward loss functions.  Capacity doubles on
+    demand; a dropped row is replaced by the last one, so new rows start
+    zeroed.
+    """
+
+    __slots__ = ("series", "keys", "owners")
+
+    def __init__(self) -> None:
+        self.series = np.zeros((3, 0, 64))
+        self.keys = np.zeros((3, 0), dtype=np.intp)
+        self.owners: List[_Group] = []
+
+    @property
+    def rows(self) -> int:
+        return len(self.owners)
+
+    def reserve(self, rows: int, columns: int) -> None:
+        _, have_rows, have_columns = self.series.shape
+        if rows <= have_rows and columns <= have_columns:
+            return
+        rows = have_rows if rows <= have_rows else max(rows, 2 * have_rows)
+        if columns > have_columns:
+            columns = max(columns, 2 * have_columns)
+        series = np.zeros((3, rows, max(columns, have_columns)))
+        series[:, :have_rows, :have_columns] = self.series
+        keys = np.zeros((3, rows), dtype=np.intp)
+        keys[:, :have_rows] = self.keys
+        self.series, self.keys = series, keys
+
+    def add(self, owner: _Group, keys: Tuple[int, int, int]) -> None:
+        row = self.rows
+        self.reserve(row + 1, 0)
+        self.series[:, row] = 0.0
+        self.keys[:, row] = keys
+        owner.row = row
+        self.owners.append(owner)
+
+    def drop(self, row: int) -> None:
+        last = self.owners.pop()
+        if last.row != row:
+            self.series[:, row] = self.series[:, last.row]
+            self.keys[:, row] = self.keys[:, last.row]
+            last.row = row
+            self.owners[row] = last
 
 
 class FleetAccountant:
@@ -161,6 +183,13 @@ class FleetAccountant:
         self._states: Dict[str, _CohortState] = {}
         self._user_start: Dict[Hashable, int] = {}
         self._epsilons: List[float] = []
+        self._table = _SeriesTable()
+        # Loss functions by matrix digest; id 0 is "no correlation" (L = 0).
+        self._loss_ids: Dict[Optional[str], int] = {None: 0}
+        self._losses: List[Optional[TemporalLossFunction]] = [None]
+        # Worst TPL of the last sweep over the whole table; None once a
+        # mutation has made it (and the table's FPL) stale.
+        self._worst: Optional[float] = None
         for user, pair in self._normalise(correlations).items():
             self.add_user(user, pair)
 
@@ -179,35 +208,21 @@ class FleetAccountant:
         """Register ``user`` under ``correlations`` (a ``(P_B, P_F)`` pair
         or ``AdversaryT``).  Users added mid-stream accrue leakage from
         the *next* release onward."""
-        cohort = self._index.add(user, correlations)
-        state = self._states.get(cohort.key)
-        if state is None:
-            state = _CohortState(cohort, self._cache)
-            self._states[cohort.key] = state
-        start = self.horizon
-        self._user_start[user] = start
-        group = state.groups.get(start)
-        if group is None:
-            group = _Group(start)
-            state.groups[start] = group
-        group.members[user] = None
+        self._join(user, correlations, self.horizon)
 
     def remove_user(self, user: Hashable) -> None:
         """Deregister ``user``; their past contribution to the fleet-wide
         maximum is no longer tracked."""
-        cohort = self._index.remove(user)
-        state = self._states[cohort.key]
-        series = state.overrides.pop(user, None)
-        if series is None:
-            group = state.groups[self._user_start[user]]
-            del group.members[user]
-            if not group.members:
-                del state.groups[self._user_start[user]]
-        else:
-            state._override_fpl_key = None
+        state, owner = self._locate(user)
+        self._index.remove(user)
         del self._user_start[user]
-        if not cohort.members:
-            del self._states[cohort.key]
+        del owner.members[user]
+        if not owner.members:
+            if state.overrides.pop(user, None) is None:
+                del state.groups[owner.start]
+            self._drop_row(owner)
+        if not state.cohort.members:
+            del self._states[state.cohort.key]
 
     def migrate_user(self, user: Hashable, correlations) -> None:
         """Move ``user`` to a new correlation model (e.g. after
@@ -220,39 +235,115 @@ class FleetAccountant:
         # cost the user their accrued leakage history.
         pair = normalise_pair(correlations)
         start = self._user_start[user]
-        old_state = self._states[self._index.cohort_of(user).key]
-        series = old_state.overrides.get(user)
-        override_eps = list(series.eps) if series is not None else None
+        state, _ = self._locate(user)
+        own = self.user_epsilons(user) if user in state.overrides else None
         self.remove_user(user)
+        self._join(user, pair, start, own)
 
-        cohort = self._index.add(user, pair)
+    def _join(self, user, correlations, start, epsilons=None, bpl=None) -> None:
+        """Register ``user`` from release ``start`` on: in their cohort's
+        group of that join time, or -- given their own ``epsilons`` -- on
+        an override row.  A new row gets its budgets and their BPL (given,
+        or recomputed under the cohort's ``P_B``)."""
+        state = self._state_of(self._index.add(user, correlations))
+        self._user_start[user] = start
+        if epsilons is not None:
+            state.overrides[user] = self._new_row(
+                state, start, {user: None}, epsilons, bpl
+            )
+            return
+        group = state.groups.get(start)
+        if group is None:
+            group = state.groups[start] = self._new_row(
+                state, start, {}, self._epsilons[start:], bpl
+            )
+        group.members[user] = None
+
+    def _state_of(self, cohort: Cohort) -> _CohortState:
+        """The accounting state of ``cohort``, created on first use."""
         state = self._states.get(cohort.key)
         if state is None:
-            state = _CohortState(cohort, self._cache)
+            state = _CohortState(
+                cohort,
+                self._loss_id(cohort.backward),
+                self._loss_id(cohort.forward),
+            )
             self._states[cohort.key] = state
-        self._user_start[user] = start
-        if override_eps is not None:
-            bpl = self._recompute_bpl(state.loss_b, override_eps)
-            state.overrides[user] = _OverrideSeries(start, override_eps, bpl)
-            state._override_fpl_key = None
-        else:
-            group = state.groups.get(start)
-            if group is None:
-                group = _Group(start)
-                group.bpl = self._recompute_bpl(
-                    state.loss_b, self._epsilons[start:]
-                )
-                state.groups[start] = group
-            group.members[user] = None
+        return state
 
-    @staticmethod
-    def _recompute_bpl(
-        loss_b: Optional[TemporalLossFunction], epsilons: Iterable[float]
-    ) -> List[float]:
-        epsilons = list(epsilons)
-        if not epsilons:
-            return []
-        return backward_privacy_leakage(loss_b, epsilons).tolist()
+    def _loss_id(self, matrix) -> int:
+        key = None if matrix is None else matrix.digest
+        loss_id = self._loss_ids.get(key)
+        if loss_id is None:
+            loss_id = self._loss_ids[key] = len(self._losses)
+            self._losses.append(TemporalLossFunction(matrix, cache=self._cache))
+        return loss_id
+
+    def _locate(self, user: Hashable) -> Tuple[_CohortState, _Group]:
+        """``user``'s cohort state and the owner of their table row."""
+        state = self._states[self._index.cohort_of(user).key]
+        owner = state.overrides.get(user)
+        if owner is None:
+            owner = state.groups[self._user_start[user]]
+        return state, owner
+
+    def _new_row(self, state, start, members, epsilons, bpl=None) -> _Group:
+        """Add a row for ``members`` joined at ``start`` carrying
+        ``epsilons`` from then on, and their BPL (given, or recomputed
+        under the cohort's ``P_B``)."""
+        owner = _Group(start, members)
+        self._table.add(owner, (start, state.loss_b, state.loss_f))
+        self._worst = None
+        epsilons = np.asarray(epsilons, dtype=float)
+        if epsilons.size:
+            if bpl is None:
+                loss = self._losses[state.loss_b]
+                bpl = backward_privacy_leakage(loss, epsilons)
+            end = start + epsilons.size
+            self._table.series[:2, owner.row, start:end] = epsilons, bpl
+        return owner
+
+    def _drop_row(self, owner: _Group) -> None:
+        self._table.drop(owner.row)
+        self._worst = None
+
+    def _series(self, owner: _Group) -> np.ndarray:
+        """The ``(3, horizon - start)`` eps / BPL / FPL block of
+        ``owner``'s row: a view of the table."""
+        return self._table.series[:, owner.row, owner.start : self.horizon]
+
+    # ------------------------------------------------------------------
+    # Checkpoint rows (repro.fleet.checkpoint, repro.durability.reshard)
+    # ------------------------------------------------------------------
+    def _cohort_rows(self):
+        """Yield ``(key, (P_B, P_F), groups, overrides)`` per cohort in key
+        order: ``groups`` as ``(start, members, bpl)`` by join time and
+        ``overrides`` as ``(user, start, eps, bpl)``, series from the join
+        time to the horizon (copies) -- the layout a checkpoint stores and
+        :meth:`_restore` reads back."""
+        for key, state in sorted(self._states.items()):
+            groups = [
+                (g.start, list(g.members), self._series(g)[1].copy())
+                for g in sorted(state.groups.values(), key=lambda g: g.start)
+            ]
+            overrides = [
+                (user, o.start, *self._series(o)[:2].copy())
+                for user, o in state.overrides.items()
+            ]
+            yield key, (state.cohort.backward, state.cohort.forward), groups, overrides
+
+    def _restore(self, epsilons, cohorts) -> None:
+        """Load persisted state into this empty engine: the default budget
+        series, then ``(pair, groups, overrides)`` per cohort as
+        :meth:`_cohort_rows` yields them (BPL restored verbatim)."""
+        self._epsilons = [float(e) for e in epsilons]
+        self._table.reserve(0, self.horizon)
+        for pair, groups, overrides in cohorts:
+            for start, members, bpl in groups:
+                for user in members:
+                    self._join(user, pair, start, bpl=bpl)
+            for user, start, eps, bpl in overrides:
+                self._join(user, pair, start, eps, bpl)
 
     # ------------------------------------------------------------------
     # Stream interface
@@ -304,12 +395,10 @@ class FleetAccountant:
         Element ``i`` of the result is *bit-identical* to what the
         ``i``-th of ``K`` sequential :meth:`add_release` calls would have
         returned, but the FPL recomputation -- the per-event hot path,
-        one O(T) Python recursion per row per step -- collapses into a
-        single global backward sweep over a stacked ``(rows, prefixes)``
-        array (:meth:`_window_worsts`): every window step's prefix
-        recursion advances in lock-step through one fused loss
-        evaluation per time point, so the Python round-trips drop from
-        O(K x T) to O(T + K).
+        one O(T) recursion per step -- collapses into a single backward
+        sweep (:meth:`_sweep`) that advances every window prefix of every
+        row in lock-step, so the Python round-trips drop from O(K x T) to
+        O(T + K).
 
         Parameters
         ----------
@@ -345,9 +434,8 @@ class FleetAccountant:
             return np.zeros(0)
 
         # Apply the window: BPL is inherently sequential in t, but each
-        # step is one fused evaluation over every group and override
-        # member -- identical operations, in identical order, to K
-        # add_release calls.
+        # step is one fused evaluation over every row -- identical
+        # operations, in identical order, to K add_release calls.
         start = self.horizon
         try:
             for epsilon, step_overrides in zip(epsilons, per_step):
@@ -356,7 +444,7 @@ class FleetAccountant:
                 self._epsilons.append(epsilon)
                 self._extend_all(epsilon, step_overrides)
             with self._registry.span("fleet.window_worsts.seconds"):
-                worsts = self._window_worsts(len(epsilons))
+                worsts = self._sweep(np.arange(self._table.rows), len(epsilons))
         except BaseException:
             self._truncate_to(start)
             raise
@@ -369,72 +457,47 @@ class FleetAccountant:
         return worsts
 
     def _ensure_override(self, user: Hashable) -> None:
-        """Convert a default-schedule user into an override series (their
-        history so far equals the default schedule)."""
+        """Give a default-schedule user their own row, a copy of their
+        group's: their history so far equals the default schedule."""
         state = self._states[self._index.cohort_of(user).key]
         if user in state.overrides:
             return
-        start = self._user_start[user]
-        group = state.groups[start]
+        group = state.groups[self._user_start[user]]
         del group.members[user]
-        series = _OverrideSeries(
-            start, list(self._epsilons[start:]), list(group.bpl)
+        state.overrides[user] = self._new_row(
+            state, group.start, {user: None}, *self._series(group)[:2]
         )
         if not group.members:
-            del state.groups[start]
-        state.overrides[user] = series
-        state._override_fpl_key = None
+            del state.groups[group.start]
+            self._drop_row(group)
 
     def _extend_all(
         self, epsilon: float, overrides: Mapping[Hashable, float]
     ) -> None:
-        """One release step for *every* cohort in one batched pass.
+        """Write the newest release's column for every row of the table.
 
-        All groups' and all override members' BPL increments -- across
-        all cohorts -- are bucketed by backward-matrix digest and
-        evaluated through :meth:`_loss_batch_multi`, which fuses the
-        buckets into shared stacked solver entries.  Appends the exact
+        Every row's BPL increment is evaluated in one memoised, fused
+        pass (:meth:`_row_losses`).  The appended values are the exact
         floats of the BPL recursion (Eq. 13) in :mod:`repro.core`: the
         batched solver matches the scalar loss path bit-for-bit (an
-        invariant the parity suites pin), and the appended sums are the
-        same scalar adds.
+        invariant the parity suites pin), and the sums are the same
+        scalar adds.
         """
-        jobs: List[Tuple[Optional[TemporalLossFunction], List[float]]] = []
-        sinks: List[list] = []
-        buckets: Dict[Optional[str], int] = {}
-        for state in self._states.values():
-            loss = state.loss_b
-            key = None if loss is None else loss.matrix.digest
-            slot = buckets.get(key)
-            if slot is None:
-                slot = len(jobs)
-                buckets[key] = slot
-                jobs.append((loss, []))
-                sinks.append([])
-            values = jobs[slot][1]
-            targets = sinks[slot]
-            for group in state.groups.values():
-                values.append(group.bpl[-1] if group.bpl else 0.0)
-                targets.append((None, None, group))
-            for user, series in state.overrides.items():
-                values.append(series.bpl[-1] if series.bpl else 0.0)
-                targets.append((state, user, series))
-        if not jobs:
+        self._worst = None
+        table = self._table
+        t = len(self._epsilons) - 1
+        table.reserve(0, t + 1)
+        n = table.rows
+        if not n:
             return
-        increments = self._loss_batch_multi(
-            [(loss, np.asarray(vals, dtype=float)) for loss, vals in jobs]
+        eps = table.series[0, :n, t]
+        eps[:] = epsilon
+        for user, eps_u in overrides.items():
+            eps[self._locate(user)[1].row] = float(eps_u)
+        previous = table.series[1, :n, t - 1] if t else np.zeros(n)
+        table.series[1, :n, t] = (
+            self._row_losses(table.keys[1, :n], previous) + eps
         )
-        for values, targets in zip(increments, sinks):
-            for increment, (state, user, target) in zip(
-                values.tolist(), targets
-            ):
-                if state is None:
-                    target.bpl.append(increment + epsilon)
-                else:
-                    eps_u = float(overrides.get(user, epsilon))
-                    target.eps.append(eps_u)
-                    target.bpl.append(increment + eps_u)
-                    state._override_fpl_key = None
 
     def _truncate_to(self, horizon: int) -> None:
         """Restore the exact accounting state at ``horizon``: the undo
@@ -442,25 +505,15 @@ class FleetAccountant:
         :class:`SolverError` from a loss evaluation partway through a
         window).
 
-        Every mutation in the stream interface is an append -- to
-        ``_epsilons``, to group BPL series, to override eps/BPL series --
-        so truncating each series to its length at ``horizon`` is an
-        exact undo, even when the fault struck between cohorts of the
-        same step.  Override *conversions* performed by
-        :meth:`_ensure_override` are left in place: an override series
-        carrying the default schedule is numerically identical to group
-        membership (the parity suite pins the two paths bit-identical).
+        The table's columns past the horizon are never read, so cutting
+        the default budget series is an exact undo, even when the fault
+        struck partway through a column.  Override rows created by
+        :meth:`_ensure_override` are left in place: a row carrying the
+        default schedule is numerically identical to group membership
+        (the parity suite pins the two paths bit-identical).
         """
         del self._epsilons[horizon:]
-        for state in self._states.values():
-            for group in state.groups.values():
-                del group.bpl[max(0, horizon - group.start) :]
-                group._fpl_key = None
-            for series in state.overrides.values():
-                keep = max(0, horizon - series.start)
-                del series.eps[keep:]
-                del series.bpl[keep:]
-            state._override_fpl_key = None
+        self._worst = None
 
     def rollback_last(self) -> None:
         """Undo the most recent release, restoring the exact prior state
@@ -488,15 +541,13 @@ class FleetAccountant:
         if n == 0:
             return
         horizon = len(self._epsilons) - n
-        for state in self._states.values():
-            joins = [(g.start, g.members) for g in state.groups.values()]
-            joins += [(s.start, (u,)) for u, s in state.overrides.items()]
-            for start, users in joins:
-                if start > horizon:
-                    raise ValueError(
-                        f"cannot roll back to horizon {horizon}: user "
-                        f"{next(iter(users))!r} joined at horizon {start}"
-                    )
+        late = np.flatnonzero(self._table.keys[0, : self._table.rows] > horizon)
+        if late.size:
+            owner = self._table.owners[late[0]]
+            raise ValueError(
+                f"cannot roll back to horizon {horizon}: user "
+                f"{next(iter(owner.members))!r} joined at horizon {owner.start}"
+            )
         self._truncate_to(horizon)
 
     def probe_release_scales(
@@ -513,16 +564,17 @@ class FleetAccountant:
         probe-and-rollback loop: the BPL increments ``L_B(BPL_T)`` of
         the probed step are scale-independent and computed once, and the
         FPL recursions of every row advance for *all* scales in one
-        stacked ``(rows, scales)`` backward sweep over the full horizon,
-        with loss evaluations fused across cohorts per time point
-        (:meth:`_loss_batch_multi`).  Results are bit-identical to the
-        serial probe (the parity suites pin this): the scaled epsilons
-        are the same ``base * s`` multiplies, the recursion steps the
-        same adds on the same loss values, and the per-scale worst the
-        same exact max with the same ``0.0`` floor as :meth:`max_tpl`.
+        :meth:`_sweep` whose first step is the probed one.  Results are
+        bit-identical to the serial probe (the parity suites pin this):
+        the scaled epsilons are the same ``base * s`` multiplies, the
+        recursion steps the same adds on the same loss values, and the
+        per-scale worst the same exact max with the same ``0.0`` floor as
+        :meth:`max_tpl`.
 
         Override users still carried in a default group are *virtually*
-        split out for the probe (:meth:`add_release` converts them
+        split out for the probe: they sweep their group's row under their
+        own budget, and the group's row stays in the sweep while any
+        member is left in it (:meth:`add_release` converts them
         permanently via :meth:`_ensure_override`; the conversion is
         numerically neutral, so skipping it here preserves parity).
         """
@@ -533,112 +585,152 @@ class FleetAccountant:
                 raise KeyError(f"override for unknown user {user!r}")
             validate_epsilon(eps_u, name="override epsilon")
         scales_arr = np.asarray(list(scales), dtype=float)
-        n_scales = scales_arr.size
-        worsts = np.zeros(n_scales)
-        if n_scales == 0:
-            return worsts
+        table = self._table
+        if scales_arr.size == 0 or table.rows == 0:
+            return np.zeros(scales_arr.size)
 
-        probe_users: Dict[str, set] = {}
-        for user in overrides:
-            key = self._index.cohort_of(user).key
-            probe_users.setdefault(key, set()).add(user)
-
-        horizon = len(self._epsilons)
-        eps_all = np.asarray(self._epsilons, dtype=float)
-        starts: List[int] = []
-        eps_hist: List[np.ndarray] = []
-        bpl_hist: List[np.ndarray] = []
-        last_base: List[float] = []
-        row_loss_b: List[Optional[TemporalLossFunction]] = []
-        row_loss_f: List[Optional[TemporalLossFunction]] = []
-
-        def add_row(state, start, eps_vec, bpl_vec, base):
-            starts.append(start)
-            eps_hist.append(np.asarray(eps_vec, dtype=float))
-            bpl_hist.append(np.asarray(bpl_vec, dtype=float))
-            last_base.append(float(base))
-            row_loss_b.append(state.loss_b)
-            row_loss_f.append(state.loss_f)
-
-        for key, state in self._states.items():
-            split = probe_users.get(key, ())
-            for group in state.groups.values():
-                hist_eps = eps_all[group.start :]
-                if any(u not in split for u in group.members):
-                    add_row(state, group.start, hist_eps, group.bpl, epsilon)
-                for user in group.members:
-                    if user in split:
-                        add_row(
-                            state,
-                            group.start,
-                            hist_eps,
-                            group.bpl,
-                            overrides[user],
-                        )
-            for user, series in state.overrides.items():
-                add_row(
-                    state,
-                    series.start,
-                    series.eps,
-                    series.bpl,
-                    overrides.get(user, epsilon),
-                )
-
-        n_rows = len(starts)
-        if n_rows == 0:
-            return worsts
-
-        # Scale-independent BPL increment of the probed step, per row.
-        previous = np.array(
-            [bpl[-1] if bpl.size else 0.0 for bpl in bpl_hist]
+        bases = np.full(table.rows, epsilon)
+        split_rows: List[int] = []
+        split_bases: List[float] = []
+        left: Dict[int, int] = {}  # group row -> members not split out
+        for user, eps_u in overrides.items():
+            state, owner = self._locate(user)
+            if user in state.overrides:
+                bases[owner.row] = eps_u
+            else:
+                split_rows.append(owner.row)
+                split_bases.append(eps_u)
+                left[owner.row] = left.get(owner.row, len(owner.members)) - 1
+        keep = np.ones(table.rows, dtype=bool)
+        keep[[row for row, count in left.items() if count == 0]] = False
+        rows = np.concatenate(
+            [np.flatnonzero(keep), np.asarray(split_rows, dtype=np.intp)]
         )
-        increments = np.zeros(n_rows)
-        b_buckets = self._bucket_rows(row_loss_b)
-        results = self._loss_batch_multi(
-            [(loss, previous[idx]) for loss, idx in b_buckets]
-        )
-        for (_, idx), values in zip(b_buckets, results):
-            increments[idx] = values
+        bases = np.concatenate([bases[keep], np.asarray(split_bases, dtype=float)])
 
-        starts_arr = np.array(starts)
-        eps_mat = np.zeros((n_rows, horizon))
-        bpl_mat = np.zeros((n_rows, horizon))
-        for i in range(n_rows):
-            eps_mat[i, starts[i] :] = eps_hist[i]
-            bpl_mat[i, starts[i] :] = bpl_hist[i]
         # The probed step's epsilons and BPL, per row per scale -- the
-        # same base * s multiplies the serial probes perform.
-        last_eps = np.array(last_base)[:, None] * scales_arr[None, :]
-        bpl_last = increments[:, None] + last_eps
+        # same base * s multiplies the serial probes perform, on the
+        # scale-independent increment L_B(BPL_T).
+        horizon = self.horizon
+        previous = (
+            table.series[1, rows, horizon - 1] if horizon else np.zeros(rows.size)
+        )
+        increments = self._row_losses(table.keys[1, rows], previous)
+        head_eps = bases[:, None] * scales_arr[None, :]
+        head_bpl = increments[:, None] + head_eps
+        return self._sweep(rows, scales_arr.size, head=(head_eps, head_bpl))
 
-        f_buckets = self._bucket_rows(row_loss_f)
-        alphas = np.zeros((n_rows, n_scales))
-        for g in range(horizon, -1, -1):
+    # ------------------------------------------------------------------
+    # The backward FPL sweep
+    # ------------------------------------------------------------------
+    def _sweep(
+        self,
+        rows: np.ndarray,
+        columns: int,
+        head: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        use_cache: bool = False,
+    ) -> np.ndarray:
+        """Run the FPL recursion (Eq. 15) of table ``rows`` backward over
+        global time for ``columns`` streams at once; return each stream's
+        worst TPL, floored at ``0.0`` like :meth:`max_tpl`.
+
+        * **Window** (``head=None``): stream ``j`` is the recorded stream
+          cut after release ``horizon - columns + j``.  Time point ``g``
+          belongs to streams ``max(0, g - (horizon - columns))`` onward,
+          whatever a row's join time, so every row shares every step.
+          The last stream's FPL is written into the table and its worst
+          becomes :meth:`max_tpl`'s answer until the next mutation.
+        * **Query**: a window with ``columns=1`` and ``use_cache=True``
+          (a constant-epsilon stream repeats its alphas across rows).
+        * **Probe**: ``head=(eps, bpl)``, each ``(len(rows), columns)``,
+          is one unrecorded step per stream, swept first.  Nothing is
+          written, and ``rows`` may repeat.
+
+        Each time point is one update over every row; loss evaluations
+        are bucketed by forward-matrix digest only for the fused solve
+        (:meth:`_loss_batch_multi`).  Rows that have not joined yet
+        carry zeros and stay out of the solve.  Bit-identical to the
+        core FPL recursion per row per stream: per-entry independence of
+        the stacked solver, the same elementwise adds on the same floats,
+        and an exact max over the same multiset of TPL values.
+        """
+        table = self._table
+        horizon = len(self._epsilons)
+        worsts = np.zeros(columns)
+        # Sorted by (forward loss, join time), the rows of one loss that
+        # have joined by time g are a prefix of that loss's block.
+        order = np.lexsort((table.keys[0, rows], table.keys[2, rows]))
+        rows = rows[order]
+        starts = table.keys[0, rows]
+        blocks = [
+            (loss, lo, starts[lo:hi].tolist())
+            for loss, lo, hi in self._loss_blocks(table.keys[2, rows])
+        ]
+        eps, bpl = table.series[:2, rows, :horizon]
+        if head is None:
+            top, base = horizon, horizon - columns
+            fpl = np.zeros((rows.size, horizon))
+        else:
+            top, base = horizon + 1, horizon
+            head_eps, head_bpl = head[0][order], head[1][order]
+            fpl = None
+        alphas = np.zeros((rows.size, columns))
+        for g in range(top - 1, -1, -1):
+            first = max(0, g - base)
+            width = columns - first
             jobs = []
-            acts = []
-            for loss, idx in f_buckets:
-                act = idx[starts_arr[idx] <= g]
-                if act.size == 0:
-                    continue
-                jobs.append((loss, alphas[act, :].ravel()))
-                acts.append(act)
-            results = self._loss_batch_multi(jobs, use_cache=False)
-            for act, values in zip(acts, results):
-                if g == horizon:
-                    eps_g = last_eps[act]
-                    bpl_g = bpl_last[act]
-                else:
-                    eps_g = eps_mat[act, g][:, None]
-                    bpl_g = bpl_mat[act, g][:, None]
-                stepped = values.reshape(act.size, n_scales) + eps_g
-                alphas[act, :] = stepped
-                tpl = bpl_g + stepped - eps_g
-                np.maximum(worsts, tpl.max(axis=0), out=worsts)
+            spans = []
+            for loss, lo, block_starts in blocks:
+                hi = lo + bisect_right(block_starts, g)
+                if hi > lo:
+                    jobs.append((loss, alphas[lo:hi, first:].ravel()))
+                    spans.append((lo, hi))
+            values = np.zeros((rows.size, width))
+            results = self._loss_batch_multi(jobs, use_cache=use_cache)
+            for (lo, hi), solved in zip(spans, results):
+                values[lo:hi] = solved.reshape(hi - lo, width)
+            if g == horizon:
+                eps_g, bpl_g = head_eps, head_bpl
+            else:
+                eps_g, bpl_g = eps[:, g, None], bpl[:, g, None]
+            stepped = values + eps_g
+            alphas[:, first:] = stepped
+            tpl = bpl_g + stepped - eps_g
+            np.maximum(
+                worsts[first:], tpl.max(axis=0, initial=0.0), out=worsts[first:]
+            )
+            if fpl is not None:
+                fpl[:, g] = stepped[:, -1]
+        if fpl is not None:
+            table.series[2, rows, :horizon] = fpl
+            self._worst = float(worsts[-1])
         return worsts
 
     # ------------------------------------------------------------------
     # Batched loss evaluation
     # ------------------------------------------------------------------
+    def _loss_blocks(self, loss_ids: np.ndarray) -> List[tuple]:
+        """``(loss, lo, hi)`` for each run of one id in the sorted
+        ``loss_ids``."""
+        firsts = np.flatnonzero(np.diff(loss_ids, prepend=-1)).tolist()
+        return [
+            (self._losses[loss_ids[lo]], lo, hi)
+            for lo, hi in zip(firsts, firsts[1:] + [loss_ids.size])
+        ]
+
+    def _row_losses(self, loss_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``L`` of each row's loss function (by id) at its value, in one
+        memoised :meth:`_loss_batch_multi` call with one job per loss."""
+        order = np.argsort(loss_ids, kind="stable")
+        blocks = self._loss_blocks(loss_ids[order])
+        results = self._loss_batch_multi(
+            [(loss, values[order[lo:hi]]) for loss, lo, hi in blocks]
+        )
+        out = np.empty_like(values)
+        for (_, lo, hi), solved in zip(blocks, results):
+            out[order[lo:hi]] = solved
+        return out
+
     def _loss_batch_multi(self, jobs, use_cache: bool = True) -> List[np.ndarray]:
         """Evaluate ``L`` elementwise for many ``(loss-or-None, values)``
         jobs (``None`` evaluates to zeros), with the solves of *all* jobs
@@ -652,15 +744,17 @@ class FleetAccountant:
         namespaced so batch entries never collide with the scalar
         ``(digest, value)`` entries.  Keys carry the *exact* float
         (matching the scalar loss memo): rounding conflated distinct
-        alphas and made cached values depend on evaluation order.
+        alphas and made cached values depend on evaluation order.  The
+        BPL step of a release or a probe (:meth:`_row_losses`) and the
+        query sweep behind :meth:`max_tpl` / :meth:`profile` memoise.
 
         ``use_cache=False`` skips the dedup + LRU memoisation entirely
-        and solves every value raw.  The backward window/probe sweeps
-        use it: their alphas are running partial sums that essentially
-        never recur, so memoising them only pays per-value Python
-        overhead and evicts the genuinely reusable scalar-path entries.
-        The cache never changes a bit (recomputation is bit-identical by
-        the solver contract), so either setting yields the same floats.
+        and solves every value raw.  The window and probe sweeps use it:
+        their alphas are running partial sums over many streams that
+        rarely recur, so memoising them only pays per-value Python
+        overhead and evicts the genuinely reusable entries.  The cache
+        never changes a bit (recomputation is bit-identical by the
+        solver contract), so either setting yields the same floats.
         """
         results: List[Optional[np.ndarray]] = [None] * len(jobs)
         if not use_cache:
@@ -725,24 +819,6 @@ class FleetAccountant:
             results[i] = res[inverse]
         return results  # type: ignore[return-value]
 
-    @staticmethod
-    def _bucket_rows(losses) -> List[tuple]:
-        """Group row indices by loss digest (``None`` rows together);
-        returns ``[(loss, index-array), ...]`` in first-seen order."""
-        buckets: Dict[Optional[str], tuple] = {}
-        order: List[Optional[str]] = []
-        for i, loss in enumerate(losses):
-            key = None if loss is None else loss.matrix.digest
-            slot = buckets.get(key)
-            if slot is None:
-                slot = (loss, [])
-                buckets[key] = slot
-                order.append(key)
-            slot[1].append(i)
-        return [
-            (buckets[key][0], np.array(buckets[key][1])) for key in order
-        ]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -787,11 +863,7 @@ class FleetAccountant:
     def user_epsilons(self, user: Hashable) -> np.ndarray:
         """The budget vector actually spent on ``user`` (default schedule
         sliced at their join time, with any overrides applied)."""
-        state = self._states[self._index.cohort_of(user).key]
-        series = state.overrides.get(user)
-        if series is not None:
-            return np.asarray(series.eps, dtype=float)
-        return np.asarray(self._epsilons[self._user_start[user] :], dtype=float)
+        return self._series(self._locate(user)[1])[0].copy()
 
     def profile(self, user: Optional[Hashable] = None) -> LeakageProfile:
         """Leakage profile for one user (default: the single/first user);
@@ -801,52 +873,20 @@ class FleetAccountant:
         later than the last release) this is :meth:`LeakageProfile.empty`,
         consistent with :meth:`max_tpl` returning ``0.0``.
         """
-        user = self._resolve(user)
-        if self.horizon == 0:
+        _, owner = self._locate(self._resolve(user))
+        if owner.start >= self.horizon:
             return LeakageProfile.empty()
-        state = self._states[self._index.cohort_of(user).key]
-        series = state.overrides.get(user)
-        if series is not None:
-            eps = np.asarray(series.eps, dtype=float)
-            if eps.size == 0:
-                return LeakageProfile.empty()
-            bpl = np.asarray(series.bpl, dtype=float)
-            fpl = self._override_fpl(state)[user]
-        else:
-            start = self._user_start[user]
-            group = state.groups[start]
-            eps = np.asarray(self._epsilons[start:], dtype=float)
-            if eps.size == 0:
-                return LeakageProfile.empty()
-            bpl = np.asarray(group.bpl, dtype=float)
-            fpl = self._group_fpl(state, group, eps)
+        self.max_tpl()  # brings the table's FPL up to date
+        eps, bpl, fpl = self._series(owner).copy()
         return LeakageProfile(epsilons=eps, bpl=bpl, fpl=fpl)
 
     def max_tpl(self) -> float:
         """Worst TPL over all users and time points (Eq. (3)) -- computed
-        per cohort, not per user."""
-        if self.horizon == 0:
-            return 0.0
-        worst = 0.0
-        for state in self._states.values():
-            for group in state.groups.values():
-                eps = np.asarray(self._epsilons[group.start :], dtype=float)
-                if eps.size == 0:
-                    continue
-                bpl = np.asarray(group.bpl, dtype=float)
-                fpl = self._group_fpl(state, group, eps)
-                worst = max(worst, float((bpl + fpl - eps).max()))
-            if state.overrides:
-                fpls = self._override_fpl(state)
-                for user, series in state.overrides.items():
-                    if not series.eps:
-                        continue
-                    eps = np.asarray(series.eps, dtype=float)
-                    bpl = np.asarray(series.bpl, dtype=float)
-                    worst = max(
-                        worst, float((bpl + fpls[user] - eps).max())
-                    )
-        return worst
+        per table row, not per user, by the last sweep or, after a
+        mutation, by a query sweep."""
+        if self._worst is None:
+            self._sweep(np.arange(self._table.rows), 1, use_cache=True)
+        return self._worst  # type: ignore[return-value]
 
     def remaining_alpha(self) -> Optional[float]:
         """Headroom to the configured ``alpha`` bound (``None`` if unset)."""
@@ -862,171 +902,6 @@ class FleetAccountant:
         if user not in self._index:
             raise KeyError(f"unknown user {user!r}")
         return user
-
-    # ------------------------------------------------------------------
-    # FPL recomputation (lazy, cached per cohort)
-    # ------------------------------------------------------------------
-    def _group_fpl(
-        self, state: _CohortState, group: _Group, eps: np.ndarray
-    ) -> np.ndarray:
-        key = eps.tobytes()
-        if group._fpl_key == key:
-            return group._fpl  # type: ignore[return-value]
-        fpl = forward_privacy_leakage(state.loss_f, eps)
-        group._fpl = fpl
-        group._fpl_key = key
-        return fpl
-
-    def _window_worsts(self, window: int) -> np.ndarray:
-        """Per-step worst-case TPL of the last ``window`` releases, for
-        all cohorts, computed after the whole window has been applied:
-        one *global* backward sweep advances every window prefix's FPL
-        recursion (Eq. 15) for every group and override member of every
-        cohort in lock-step.
-
-        At global time point ``g`` the first window prefix covering it
-        is ``max(0, g - (horizon - window))`` -- independent of a row's
-        join time -- so rows from different cohorts, join times, and
-        override blocks all share each sweep step.  Active rows' loss
-        evaluations are bucketed by forward-matrix digest and fused
-        across buckets into stacked solves (:meth:`_loss_batch_multi`),
-        collapsing the solver entries per window from O(cohorts x T) to
-        O(T).  Bit-identical to running
-        :func:`~repro.core.leakage.forward_privacy_leakage` per row per
-        prefix: per-entry independence of the stacked solver, the same
-        elementwise adds on the same floats, and an exact max over the
-        same multiset of TPL values.  As a side effect every group's and
-        override member's FPL cache holds the full-horizon series, so the
-        next :meth:`max_tpl` / :meth:`profile` query is free.
-        """
-        horizon = len(self._epsilons)
-        base_all = horizon - window
-        worsts = np.zeros(window)
-        eps_all = np.asarray(self._epsilons, dtype=float)
-
-        # Row catalogue: every group and every non-empty override series
-        # becomes one row of the global sweep.
-        starts: List[int] = []
-        eps_rows: List[np.ndarray] = []
-        bpl_rows: List[np.ndarray] = []
-        row_loss: List[Optional[TemporalLossFunction]] = []
-        sinks: List[tuple] = []
-        override_states: List[_CohortState] = []
-        empty_overrides: List[tuple] = []
-        for state in self._states.values():
-            for group in state.groups.values():
-                eps = eps_all[group.start :]
-                if eps.size == 0:
-                    continue
-                starts.append(group.start)
-                eps_rows.append(eps)
-                bpl_rows.append(np.asarray(group.bpl, dtype=float))
-                row_loss.append(state.loss_f)
-                sinks.append(("group", group, eps))
-            if state.overrides:
-                override_states.append(state)
-                for user, series in state.overrides.items():
-                    if not series.eps:
-                        empty_overrides.append((state, user))
-                        continue
-                    starts.append(series.start)
-                    eps_rows.append(np.asarray(series.eps, dtype=float))
-                    bpl_rows.append(np.asarray(series.bpl, dtype=float))
-                    row_loss.append(state.loss_f)
-                    sinks.append(("override", state, user))
-
-        n_rows = len(sinks)
-        fpl_final = np.zeros((n_rows, horizon))
-        if n_rows:
-            starts_arr = np.array(starts)
-            eps_mat = np.zeros((n_rows, horizon))
-            bpl_mat = np.zeros((n_rows, horizon))
-            for i in range(n_rows):
-                eps_mat[i, starts[i] :] = eps_rows[i]
-                bpl_mat[i, starts[i] :] = bpl_rows[i]
-            buckets = self._bucket_rows(row_loss)
-            alphas = np.zeros((n_rows, window))
-            for g in range(horizon - 1, -1, -1):
-                first = max(0, g - base_all)
-                jobs = []
-                acts = []
-                for loss, idx in buckets:
-                    act = idx[starts_arr[idx] <= g]
-                    if act.size == 0:
-                        continue
-                    jobs.append((loss, alphas[act, first:].ravel()))
-                    acts.append(act)
-                results = self._loss_batch_multi(jobs, use_cache=False)
-                for act, values in zip(acts, results):
-                    stepped = (
-                        values.reshape(act.size, window - first)
-                        + eps_mat[act, g][:, None]
-                    )
-                    alphas[act, first:] = stepped
-                    fpl_final[act, g] = stepped[:, -1]
-                    tpl = (
-                        bpl_mat[act, g][:, None]
-                        + stepped
-                        - eps_mat[act, g][:, None]
-                    )
-                    np.maximum(
-                        worsts[first:], tpl.max(axis=0), out=worsts[first:]
-                    )
-
-        # Refresh the FPL caches with the final prefix's series.
-        out_map: Dict[int, Dict[Hashable, np.ndarray]] = {
-            id(state): {} for state in override_states
-        }
-        for state, user in empty_overrides:
-            out_map[id(state)][user] = np.zeros(0)
-        for i, sink in enumerate(sinks):
-            if sink[0] == "group":
-                _, group, eps = sink
-                group._fpl = fpl_final[i, group.start :].copy()
-                group._fpl_key = eps.tobytes()
-            else:
-                _, state, user = sink
-                out_map[id(state)][user] = fpl_final[
-                    i, state.overrides[user].start :
-                ].copy()
-        for state in override_states:
-            state._override_fpl = out_map[id(state)]
-            state._override_fpl_key = b"|".join(
-                np.asarray(state.overrides[u].eps, dtype=float).tobytes()
-                for u in state.overrides
-            )
-        return worsts
-
-    def _override_fpl(self, state: _CohortState) -> Dict[Hashable, np.ndarray]:
-        """FPL series (Eq. 15) of every override member of one cohort, in
-        one backward sweep over global time: at each time point the
-        members that have joined by then -- across all join times -- take
-        one fused, memoised loss evaluation."""
-        users = list(state.overrides)
-        key = b"|".join(
-            np.asarray(state.overrides[u].eps, dtype=float).tobytes()
-            for u in users
-        )
-        if state._override_fpl_key == key and state._override_fpl is not None:
-            return state._override_fpl
-        horizon = len(self._epsilons)
-        starts = np.array([state.overrides[u].start for u in users])
-        eps_mat = np.zeros((len(users), horizon))
-        for i, user in enumerate(users):
-            eps_mat[i, starts[i] :] = state.overrides[user].eps
-        fpl = np.zeros((len(users), horizon))
-        alphas = np.zeros(len(users))
-        for g in range(horizon - 1, -1, -1):
-            act = np.flatnonzero(starts <= g)
-            if act.size == 0:
-                break  # nobody had joined yet at or before g
-            (values,) = self._loss_batch_multi([(state.loss_f, alphas[act])])
-            alphas[act] = values + eps_mat[act, g]
-            fpl[act, g] = alphas[act]
-        out = {user: fpl[i, starts[i] :].copy() for i, user in enumerate(users)}
-        state._override_fpl = out
-        state._override_fpl_key = key
-        return out
 
     def __repr__(self) -> str:
         return (

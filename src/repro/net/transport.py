@@ -82,8 +82,14 @@ class PipeTransport:
     def send(self, obj: Any) -> None:
         try:
             self._conn.send(obj)
+            return
         except (OSError, ValueError) as error:
-            raise TransportClosed(str(error)) from error
+            message = str(error)
+        # Raised outside the handler, so no exception chain keeps the
+        # failed send's traceback alive: it holds multiprocessing's
+        # pickle buffer (a view of a BytesIO), and collecting it then
+        # reports "BufferError: Existing exports of data".
+        raise TransportClosed(message)
 
     def recv(self, timeout: Optional[float] = None) -> Any:
         if timeout is not None:

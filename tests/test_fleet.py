@@ -1,5 +1,8 @@
 """Tests for the repro.fleet population-scale accounting subsystem."""
 
+import functools
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -405,7 +408,7 @@ class TestEngineBehaviour:
 
 
 # ---------------------------------------------------------------------------
-# Per-user epsilon overrides -- the (members, T) array path
+# Per-user epsilon overrides -- one table row per overridden user
 # ---------------------------------------------------------------------------
 class TestOverrides:
     def test_override_matches_offline_quantification(self, models):
@@ -632,6 +635,177 @@ class TestCrossCohortParity:
         fleet.add_release(0.1)
         with pytest.raises(KeyError):
             fleet.probe_release_scales(0.2, {"nobody": 0.1}, [0.5])
+
+
+# ---------------------------------------------------------------------------
+# Churn: every observable against the core recursions
+# ---------------------------------------------------------------------------
+CHURN_PAIRS = [
+    (two_state_matrix(0.8, 0.1), two_state_matrix(0.7, 0.2)),
+    (two_state_matrix(0.6, 0.2), two_state_matrix(0.7, 0.2)),  # same P_F
+    (random_stochastic_matrix(3, seed=5), random_stochastic_matrix(3, seed=6)),
+    (two_state_matrix(0.6, 0.2), None),
+    (None, None),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _core_profile(pair: int, epsilons: tuple):
+    """The paper's recursions for one user: ``CHURN_PAIRS[pair]`` over the
+    budgets the user spent."""
+    return temporal_privacy_leakage(*CHURN_PAIRS[pair], list(epsilons))
+
+
+def _core_worst(pair_of, spent, step=None):
+    """Worst TPL over every user from :func:`_core_profile`; ``step``
+    maps each user to one more budget (a probed release)."""
+    worst = 0.0
+    for user, eps in spent.items():
+        eps = tuple(eps) + ((step[user],) if step is not None else ())
+        if eps:
+            worst = max(worst, _core_profile(pair_of[user], eps).max_tpl)
+    return worst
+
+
+class TestChurnParity:
+    """Releases, windows, probes, joins, removals, migrations, rollbacks
+    and checkpoint round trips in any order: after every operation each
+    number the engine reports equals the core recursion over the budgets
+    each user spent, tracked here independently of the engine."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(
+            st.sampled_from(
+                [
+                    "release",
+                    "window",
+                    "join",
+                    "remove",
+                    "migrate",
+                    "rollback",
+                    "probe",
+                    "checkpoint",
+                ]
+            ),
+            min_size=4,
+            max_size=14,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_observable_matches_core(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        pair_of = {u: int(rng.integers(len(CHURN_PAIRS))) for u in range(4)}
+        spent = {u: [] for u in pair_of}
+        joined = dict.fromkeys(pair_of, 0)
+        fleet = FleetAccountant({u: CHURN_PAIRS[p] for u, p in pair_of.items()})
+
+        def draw_overrides():
+            if rng.random() < 0.4:
+                return None
+            users = rng.choice(sorted(spent), size=min(2, len(spent)), replace=False)
+            return {int(u): float(rng.uniform(0.0, 0.5)) for u in users}
+
+        def record(epsilon, overrides):
+            for user, eps in spent.items():
+                eps.append((overrides or {}).get(user, epsilon))
+
+        for op in ops:
+            if op == "release":
+                epsilon, overrides = float(rng.uniform(0.01, 0.4)), draw_overrides()
+                record(epsilon, overrides)
+                assert fleet.add_release(epsilon, overrides) == _core_worst(
+                    pair_of, spent
+                )
+            elif op == "window":
+                size = int(rng.integers(1, 4))
+                budgets = [float(rng.uniform(0.01, 0.4)) for _ in range(size)]
+                steps = [draw_overrides() for _ in range(size)]
+                expected = []
+                for epsilon, overrides in zip(budgets, steps):
+                    record(epsilon, overrides)
+                    expected.append(_core_worst(pair_of, spent))
+                assert fleet.add_window(budgets, steps).tolist() == expected
+            elif op == "join":
+                user = max(pair_of) + 1
+                pair_of[user] = int(rng.integers(len(CHURN_PAIRS)))
+                spent[user], joined[user] = [], fleet.horizon
+                fleet.add_user(user, CHURN_PAIRS[pair_of[user]])
+            elif op == "remove" and len(spent) > 1:
+                user = int(rng.choice(sorted(spent)))
+                fleet.remove_user(user)
+                del pair_of[user], spent[user], joined[user]
+            elif op == "migrate":
+                user = int(rng.choice(sorted(spent)))
+                pair_of[user] = int(rng.integers(len(CHURN_PAIRS)))
+                fleet.migrate_user(user, CHURN_PAIRS[pair_of[user]])
+            elif op == "rollback":
+                room = fleet.horizon - max(joined.values())
+                if room > 0:
+                    n = int(rng.integers(1, room + 1))
+                    fleet.rollback(n)
+                    for eps in spent.values():
+                        del eps[len(eps) - n :]
+            elif op == "probe":
+                epsilon = float(rng.uniform(0.01, 0.4))
+                overrides = draw_overrides() or {}
+                scales = [1.0, 0.5, 0.125]
+                probed = fleet.probe_release_scales(epsilon, overrides, scales)
+                for scale, worst in zip(scales, probed):
+                    step = {
+                        u: overrides.get(u, epsilon) * scale for u in spent
+                    }
+                    assert worst == _core_worst(pair_of, spent, step)
+            elif op == "checkpoint":
+                with tempfile.TemporaryDirectory() as directory:
+                    save_checkpoint(fleet, directory)
+                    fleet = load_checkpoint(directory)
+
+            assert fleet.max_tpl() == _core_worst(pair_of, spent)
+            for user, eps in spent.items():
+                assert fleet.user_epsilons(user).tolist() == eps
+                profile = fleet.profile(user)
+                if not eps:
+                    assert profile.horizon == 0
+                    continue
+                reference = _core_profile(pair_of[user], tuple(eps))
+                for name in ("epsilons", "bpl", "fpl", "tpl"):
+                    assert np.array_equal(
+                        getattr(profile, name), getattr(reference, name)
+                    ), (op, user, name)
+
+    def test_joiner_in_a_freed_row_starts_clean(self):
+        """Removing the only member of a row frees its slot, and a later
+        joiner's row reuses it: the joiner must start from zeros, not from
+        the series the slot held before."""
+        fleet = FleetAccountant({"a": CHURN_PAIRS[0], "b": CHURN_PAIRS[2]})
+        fleet.add_window([0.3, 0.2])
+        fleet.remove_user("a")
+        fleet.add_user("c", CHURN_PAIRS[0])
+        fleet.add_release(0.1)
+        expected = {
+            "b": _core_profile(2, (0.3, 0.2, 0.1)),
+            "c": _core_profile(0, (0.1,)),
+        }
+        for user, reference in expected.items():
+            assert np.array_equal(fleet.profile(user).tpl, reference.tpl)
+        assert fleet.max_tpl() == max(p.max_tpl for p in expected.values())
+
+    def test_probe_keeps_a_partly_split_group(self):
+        """Overriding some members of a group splits them out of its row
+        for the probe; the member left behind still counts.  Here that
+        member -- on the default budget, far above the overrides --
+        carries the worst TPL, so a probe that dropped the group row
+        would read low."""
+        pair = CHURN_PAIRS[0]
+        fleet = FleetAccountant({u: pair for u in range(3)})
+        fleet.add_window([0.3, 0.3])
+        overrides = {0: 0.01, 1: 0.02}
+        scales = [1.0, 0.5]
+        probed = fleet.probe_release_scales(0.4, overrides, scales)
+        for scale, worst in zip(scales, probed):
+            assert worst == _core_profile(0, (0.3, 0.3, 0.4 * scale)).max_tpl
+            assert worst > _core_profile(0, (0.3, 0.3, 0.02 * scale)).max_tpl
 
 
 # ---------------------------------------------------------------------------

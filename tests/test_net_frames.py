@@ -349,6 +349,24 @@ class TestPipeTransport:
         finally:
             ta.close()
 
+    def test_send_to_closed_peer_drops_the_failed_send(self):
+        """A send on a dead pipe raises TransportClosed with no chained
+        exception: the failed send's traceback pins multiprocessing's
+        pickle buffer, and collecting such a chain printed
+        'BufferError: Existing exports of data'."""
+        import multiprocessing
+
+        a, b = multiprocessing.Pipe()
+        ta, tb = PipeTransport(a), PipeTransport(b)
+        tb.close()
+        try:
+            with pytest.raises(TransportClosed) as caught:
+                ta.send({"x": np.arange(1 << 16)})  # larger than the pipe buffer
+            assert caught.value.__cause__ is None
+            assert caught.value.__context__ is None
+        finally:
+            ta.close()
+
     def test_exception_hierarchy_matches_worker_loop(self):
         """run_shard_loop catches (EOFError, OSError); both transport
         errors must fall inside that net, and inside the stdlib timeout

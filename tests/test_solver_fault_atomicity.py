@@ -59,9 +59,9 @@ def _inject_fault(monkeypatch, fail_at: int) -> None:
     """Make the ``fail_at``-th loss evaluation raise SolverError.
 
     Patches the memoised scalar path (``TemporalLossFunction.__call__``,
-    used by the scalar accountant and the fleet's group FPL) and the
-    fleet's one batched path (``FleetAccountant._loss_batch_multi``:
-    BPL extension, window sweep, override FPL) with one shared counter,
+    used by the scalar accountant) and the fleet's one batched path
+    (``FleetAccountant._loss_batch_multi``: BPL extension and the
+    window, probe and query sweeps) with one shared counter,
     so the fault lands at every distinct point of the evaluation
     sequence as ``fail_at`` sweeps.
     """
