@@ -20,9 +20,18 @@ and the budget schedule -- so every user sharing a ``(P_B, P_F)`` pair
 * windows, clamp probes and queries all run **one** backward FPL sweep
   (Eq. 15, :meth:`FleetAccountant._sweep`) that advances every active row
   in one update per time point;
+* the sweep is **flat in stream age**: the FPL recursion contracts
+  (Theorem 5, Fig. 6), so going back in time a row's new FPL soon equals,
+  bit for bit, the FPL the table already holds for it.  Each row carries
+  a *bound* below which its held FPL satisfies the recursion under the
+  current budgets; a row whose every stream matches its held FPL at a
+  time point below that bound leaves the sweep, and its earlier values
+  are the held ones;
 * every batched loss evaluation funnels through
   :func:`repro.core.algorithm1.max_log_ratio_stacked`, fused across
-  cohorts, and the memoised ones through one bounded
+  cohorts.  Window sweeps memoise through a two-generation exact-float
+  memo (under a constant epsilon the previous window solved almost every
+  alpha of the next), the other memoised paths through one bounded
   :class:`~repro.fleet.solution_cache.SolutionCache`.
 
 The public query surface (``add_release`` / ``profile`` / ``max_tpl`` /
@@ -35,6 +44,7 @@ pin it against.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -46,13 +56,69 @@ from ..core.loss_functions import TemporalLossFunction
 from ..exceptions import InvalidPrivacyParameterError
 from ..obs.metrics import NULL_REGISTRY
 from .cohorts import Cohort, CohortIndex, normalise_pair
-from .solution_cache import SolutionCache
+from .solution_cache import DEFAULT_MAXSIZE, SolutionCache
 
 __all__ = ["FleetAccountant"]
 
 #: Shared inverse index for one-element dedup bypasses in
 #: :meth:`FleetAccountant._loss_batch_multi`.
 _SINGLETON_IDX = np.zeros(1, dtype=np.intp)
+
+#: Bucket bounds of the ``fleet.sweep.depth`` histogram (time points).
+_DEPTH_BUCKETS = tuple(float(2**k) for k in range(21))
+
+
+class _WindowMemo:
+    """Exact-float ``alpha -> L(alpha)`` values, per forward loss (by
+    matrix digest), of the window sweep in progress and of the one
+    before it.  Lookups carry hits in the previous generation into the
+    current one; a generation holds at most ``DEFAULT_MAXSIZE`` values,
+    and values past that are solved raw.  A finished sweep's generation
+    becomes the next one's previous (:meth:`FleetAccountant._sweep`)."""
+
+    __slots__ = ("previous", "current", "size", "hits", "misses")
+
+    def __init__(self, previous: dict) -> None:
+        self.previous = previous
+        self.current: dict = {}
+        self.size = 0
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, digest: str, alphas: list) -> Tuple[list, dict]:
+        """``L`` of each of ``alphas`` (``None`` where unknown), and the
+        unknown alphas, each once, with their positions."""
+        current = self.current.setdefault(digest, {})
+        found = list(map(current.get, alphas))
+        missing: Dict[float, List[int]] = {}
+        if None in found:
+            previous = self.previous.get(digest, {})
+            for k, alpha in enumerate(alphas):
+                if found[k] is None:
+                    value = previous.get(alpha)
+                    if value is None:
+                        missing.setdefault(alpha, []).append(k)
+                    else:
+                        found[k] = value
+                        self._keep(current, alpha, value)
+        misses = sum(map(len, missing.values()))
+        self.hits += len(alphas) - misses
+        self.misses += misses
+        return found, missing
+
+    def fill(self, digest: str, found: list, missing: dict, solved) -> np.ndarray:
+        """Complete a :meth:`lookup` with the ``solved`` missing alphas."""
+        current = self.current[digest]
+        for (alpha, positions), value in zip(missing.items(), solved.tolist()):
+            self._keep(current, alpha, value)
+            for k in positions:
+                found[k] = value
+        return np.array(found)
+
+    def _keep(self, current: dict, alpha: float, value: float) -> None:
+        if self.size < DEFAULT_MAXSIZE and alpha not in current:
+            current[alpha] = value
+            self.size += 1
 
 
 class _Group:
@@ -87,17 +153,19 @@ class _SeriesTable:
 
     ``series[0|1|2, row, t]`` is the row's epsilon / BPL / FPL at global
     time ``t`` -- zero before the row's join time, and stale past the
-    horizon (never read).  ``keys[0|1|2, row]`` is its join time and the
-    ids of its backward / forward loss functions.  Capacity doubles on
-    demand; a dropped row is replaced by the last one, so new rows start
-    zeroed.
+    horizon (never read, save the held FPL below a bound).
+    ``keys[0|1|2|3, row]`` is its join time, the ids of its backward /
+    forward loss functions, and its bound ``b``: the held FPL satisfies
+    the recursion ``fpl[t] = eps[t] + L_F(fpl[t + 1])`` under the current
+    budgets for every ``t < b - 1``.  Capacity doubles on demand; a
+    dropped row is replaced by the last one, so new rows start zeroed.
     """
 
     __slots__ = ("series", "keys", "owners")
 
     def __init__(self) -> None:
         self.series = np.zeros((3, 0, 64))
-        self.keys = np.zeros((3, 0), dtype=np.intp)
+        self.keys = np.zeros((4, 0), dtype=np.intp)
         self.owners: List[_Group] = []
 
     @property
@@ -113,11 +181,11 @@ class _SeriesTable:
             columns = max(columns, 2 * have_columns)
         series = np.zeros((3, rows, max(columns, have_columns)))
         series[:, :have_rows, :have_columns] = self.series
-        keys = np.zeros((3, rows), dtype=np.intp)
+        keys = np.zeros((4, rows), dtype=np.intp)
         keys[:, :have_rows] = self.keys
         self.series, self.keys = series, keys
 
-    def add(self, owner: _Group, keys: Tuple[int, int, int]) -> None:
+    def add(self, owner: _Group, keys: Tuple[int, int, int, int]) -> None:
         row = self.rows
         self.reserve(row + 1, 0)
         self.series[:, row] = 0.0
@@ -190,6 +258,8 @@ class FleetAccountant:
         # Worst TPL of the last sweep over the whole table; None once a
         # mutation has made it (and the table's FPL) stale.
         self._worst: Optional[float] = None
+        # The last window sweep's loss values (see _WindowMemo).
+        self._memo: dict = {}
         for user, pair in self._normalise(correlations).items():
             self.add_user(user, pair)
 
@@ -290,9 +360,10 @@ class FleetAccountant:
     def _new_row(self, state, start, members, epsilons, bpl=None) -> _Group:
         """Add a row for ``members`` joined at ``start`` carrying
         ``epsilons`` from then on, and their BPL (given, or recomputed
-        under the cohort's ``P_B``)."""
+        under the cohort's ``P_B``).  Its FPL has never been swept, so
+        its bound is its join time: before it the row is all zeros."""
         owner = _Group(start, members)
-        self._table.add(owner, (start, state.loss_b, state.loss_f))
+        self._table.add(owner, (start, state.loss_b, state.loss_f, start))
         self._worst = None
         epsilons = np.asarray(epsilons, dtype=float)
         if epsilons.size:
@@ -458,15 +529,20 @@ class FleetAccountant:
 
     def _ensure_override(self, user: Hashable) -> None:
         """Give a default-schedule user their own row, a copy of their
-        group's: their history so far equals the default schedule."""
+        group's: their history so far equals the default schedule.  The
+        copy holds the group's FPL under the group's bound, so it can
+        leave the next sweep as early as the group would."""
         state = self._states[self._index.cohort_of(user).key]
         if user in state.overrides:
             return
         group = state.groups[self._user_start[user]]
         del group.members[user]
-        state.overrides[user] = self._new_row(
+        override = state.overrides[user] = self._new_row(
             state, group.start, {user: None}, *self._series(group)[:2]
         )
+        table = self._table
+        table.series[2, override.row] = table.series[2, group.row]
+        table.keys[3, override.row] = table.keys[3, group.row]
         if not group.members:
             del state.groups[group.start]
             self._drop_row(group)
@@ -507,12 +583,18 @@ class FleetAccountant:
 
         The table's columns past the horizon are never read, so cutting
         the default budget series is an exact undo, even when the fault
-        struck partway through a column.  Override rows created by
-        :meth:`_ensure_override` are left in place: a row carrying the
+        struck partway through a column.  Every bound drops to at most
+        ``horizon + 1``: the held FPL is kept (the next sweep compares
+        against it), and the budgets below ``horizon`` did not change.
+        Sweeps write the table only once they finish, so after a fault
+        mid-sweep no bound exceeds that already.  Override rows created
+        by :meth:`_ensure_override` are left in place: a row carrying the
         default schedule is numerically identical to group membership
         (the parity suite pins the two paths bit-identical).
         """
         del self._epsilons[horizon:]
+        bounds = self._table.keys[3, : self._table.rows]
+        np.minimum(bounds, horizon + 1, out=bounds)
         self._worst = None
 
     def rollback_last(self) -> None:
@@ -628,7 +710,7 @@ class FleetAccountant:
         rows: np.ndarray,
         columns: int,
         head: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        use_cache: bool = False,
+        query: bool = False,
     ) -> np.ndarray:
         """Run the FPL recursion (Eq. 15) of table ``rows`` backward over
         global time for ``columns`` streams at once; return each stream's
@@ -640,19 +722,37 @@ class FleetAccountant:
           whatever a row's join time, so every row shares every step.
           The last stream's FPL is written into the table and its worst
           becomes :meth:`max_tpl`'s answer until the next mutation.
-        * **Query**: a window with ``columns=1`` and ``use_cache=True``
-          (a constant-epsilon stream repeats its alphas across rows).
+          Loss values go through the two-generation :class:`_WindowMemo`.
+        * **Query** (``query=True``): a window with ``columns=1``,
+          memoised in the shared :class:`SolutionCache`.
         * **Probe**: ``head=(eps, bpl)``, each ``(len(rows), columns)``,
           is one unrecorded step per stream, swept first.  Nothing is
-          written, and ``rows`` may repeat.
+          written, ``rows`` may repeat, and loss values are solved raw.
 
-        Each time point is one update over every row; loss evaluations
-        are bucketed by forward-matrix digest only for the fused solve
-        (:meth:`_loss_batch_multi`).  Rows that have not joined yet
-        carry zeros and stay out of the solve.  Bit-identical to the
-        core FPL recursion per row per stream: per-entry independence of
-        the stacked solver, the same elementwise adds on the same floats,
-        and an exact max over the same multiset of TPL values.
+        Each time point is one update over every row still in the sweep;
+        loss evaluations are bucketed by forward-matrix digest only for
+        the fused solve (:meth:`_loss_batch_multi`).  Rows that have not
+        joined yet carry zeros and stay out of the solve.
+
+        **Converged-suffix exit.**  At a time point ``g`` below a row's
+        bound (see :class:`_SeriesTable`), if every stream's new FPL for
+        the row equals its held FPL at ``g`` bit for bit, so does every
+        earlier value: the budgets below ``g`` are the ones the held FPL
+        was swept under, and the solver is deterministic per entry.  The
+        row leaves the sweep there, and its TPL below ``g`` -- the
+        sweep's own ``(bpl + fpl) - eps`` over the held FPL -- is folded
+        into every stream's worst (bounds exceed the horizon before this
+        sweep's releases by at most one, so every stream is live at such
+        a ``g``).  Writing sweeps keep the held FPL below each row's exit,
+        write the rest, and set the bound of every swept row to the
+        horizon.  The table is written only once the sweep has finished,
+        so a fault leaves the FPL rows, the bounds and the memo as they
+        were.
+
+        Bit-identical to the core FPL recursion per row per stream:
+        per-entry independence of the stacked solver, the same
+        elementwise adds on the same floats, and an exact max over the
+        same multiset of TPL values.
         """
         table = self._table
         horizon = len(self._epsilons)
@@ -661,19 +761,26 @@ class FleetAccountant:
         # have joined by time g are a prefix of that loss's block.
         order = np.lexsort((table.keys[0, rows], table.keys[2, rows]))
         rows = rows[order]
-        starts = table.keys[0, rows]
-        blocks = [
-            (loss, lo, starts[lo:hi].tolist())
-            for loss, lo, hi in self._loss_blocks(table.keys[2, rows])
-        ]
+        blocks = self._join_blocks(rows)
         eps, bpl = table.series[:2, rows, :horizon]
+        bounds = table.keys[3, rows]
+        limit = int(bounds.max(initial=0))  # no exit at or above it
+        held = table.series[2, rows, :limit]
         if head is None:
             top, base = horizon, horizon - columns
-            fpl = np.zeros((rows.size, horizon))
+            kind = "query" if query else "window"
         else:
             top, base = horizon + 1, horizon
             head_eps, head_bpl = head[0][order], head[1][order]
-            fpl = None
+            kind = "probe"
+        memo = _WindowMemo(self._memo) if kind == "window" else None
+        # A writing sweep keeps the last stream's FPL of the rows still in
+        # it at [g, edge), and flushes it as (rows, lo, hi, fpl) when rows
+        # leave.
+        trail = np.empty((rows.size, top)) if head is None else None
+        flushed = []
+        edge = depth = top
+        live = rows
         alphas = np.zeros((rows.size, columns))
         for g in range(top - 1, -1, -1):
             first = max(0, g - base)
@@ -685,8 +792,10 @@ class FleetAccountant:
                 if hi > lo:
                     jobs.append((loss, alphas[lo:hi, first:].ravel()))
                     spans.append((lo, hi))
-            values = np.zeros((rows.size, width))
-            results = self._loss_batch_multi(jobs, use_cache=use_cache)
+            values = np.zeros((live.size, width))
+            results = self._loss_batch_multi(
+                jobs, use_cache=head is None, memo=memo
+            )
             for (lo, hi), solved in zip(spans, results):
                 values[lo:hi] = solved.reshape(hi - lo, width)
             if g == horizon:
@@ -699,16 +808,66 @@ class FleetAccountant:
             np.maximum(
                 worsts[first:], tpl.max(axis=0, initial=0.0), out=worsts[first:]
             )
-            if fpl is not None:
-                fpl[:, g] = stepped[:, -1]
-        if fpl is not None:
-            table.series[2, rows, :horizon] = fpl
+            if trail is not None:
+                trail[:, g] = stepped[:, -1]
+            if g >= limit:
+                continue
+            # Stream 0 alone first: a row whose FPL cycles in the last ulp
+            # matches on some streams of a window, but not on that one.
+            bits = held[:, g].view(np.int64)
+            same = stepped[:, 0].view(np.int64) == bits
+            if not same.any():
+                continue
+            same &= (stepped.view(np.int64) == bits[:, None]).all(axis=1)
+            same &= bounds > g
+            if not same.any():
+                continue
+            below = (bpl[same, :g] + held[same, :g]) - eps[same, :g]
+            np.maximum(worsts, below.max(initial=0.0), out=worsts)
+            keep = ~same
+            if trail is not None:
+                flushed.append((live, g, edge, trail[:, g:edge]))
+                trail = np.empty((int(keep.sum()), g))
+                edge = g
+            live = live[keep]
+            if not live.size:
+                depth = top - g
+                break
+            eps, bpl, held = eps[keep, :g], bpl[keep, :g], held[keep, :g]
+            bounds, alphas = bounds[keep], alphas[keep]
+            limit = min(g, int(bounds.max()))
+            blocks = self._join_blocks(live)
+        if trail is not None:
+            flushed.append((live, 0, edge, trail[:, :edge]))
+            for ids, lo, hi, fpl in flushed:
+                table.series[2, ids, lo:hi] = fpl
+            table.keys[3, rows] = horizon
             self._worst = float(worsts[-1])
+        if memo is not None:
+            self._memo = memo.current
+        registry = self._registry
+        if registry.enabled:
+            registry.histogram(
+                "fleet.sweep.depth", _DEPTH_BUCKETS, kind=kind
+            ).observe(depth)
+            if memo is not None:
+                registry.counter("fleet.sweep.memo.hits").inc(memo.hits)
+                registry.counter("fleet.sweep.memo.misses").inc(memo.misses)
         return worsts
 
     # ------------------------------------------------------------------
     # Batched loss evaluation
     # ------------------------------------------------------------------
+    def _join_blocks(self, rows: np.ndarray) -> List[tuple]:
+        """``(loss, lo, join times)`` per forward-loss block of the sorted
+        ``rows``: the rows of a block that have joined by time ``g`` are
+        its first ``bisect_right(join times, g)``."""
+        starts = self._table.keys[0, rows]
+        return [
+            (loss, lo, starts[lo:hi].tolist())
+            for loss, lo, hi in self._loss_blocks(self._table.keys[2, rows])
+        ]
+
     def _loss_blocks(self, loss_ids: np.ndarray) -> List[tuple]:
         """``(loss, lo, hi)`` for each run of one id in the sorted
         ``loss_ids``."""
@@ -731,7 +890,9 @@ class FleetAccountant:
             out[order[lo:hi]] = solved
         return out
 
-    def _loss_batch_multi(self, jobs, use_cache: bool = True) -> List[np.ndarray]:
+    def _loss_batch_multi(
+        self, jobs, use_cache: bool = True, memo: Optional[_WindowMemo] = None
+    ) -> List[np.ndarray]:
         """Evaluate ``L`` elementwise for many ``(loss-or-None, values)``
         jobs (``None`` evaluates to zeros), with the solves of *all* jobs
         fused into shared stacked sweeps (:func:`max_log_ratio_stacked`,
@@ -739,85 +900,90 @@ class FleetAccountant:
         to the scalar loss path; the fusion only changes how many solver
         entries the fleet pays per step.
 
-        By default values are deduplicated and memoised in the
-        :class:`SolutionCache` under ``(digest, value, "batch")`` keys,
-        namespaced so batch entries never collide with the scalar
-        ``(digest, value)`` entries.  Keys carry the *exact* float
-        (matching the scalar loss memo): rounding conflated distinct
-        alphas and made cached values depend on evaluation order.  The
-        BPL step of a release or a probe (:meth:`_row_losses`) and the
-        query sweep behind :meth:`max_tpl` / :meth:`profile` memoise.
+        Memoised values are keyed by the *exact* float (matching the
+        scalar loss memo): rounding conflated distinct alphas and made
+        cached values depend on evaluation order.  Each caller has one
+        home for its values:
 
-        ``use_cache=False`` skips the dedup + LRU memoisation entirely
-        and solves every value raw.  The window and probe sweeps use it:
-        their alphas are running partial sums over many streams that
-        rarely recur, so memoising them only pays per-value Python
-        overhead and evicts the genuinely reusable entries.  The cache
-        never changes a bit (recomputation is bit-identical by the
-        solver contract), so either setting yields the same floats.
+        * the shared :class:`SolutionCache` (the default), deduplicated,
+          under ``(digest, value, "batch")`` keys -- namespaced so batch
+          entries never collide with the scalar ``(digest, value)``
+          entries: the BPL step of a release or a probe
+          (:meth:`_row_losses`) and the query sweep behind
+          :meth:`max_tpl` / :meth:`profile`;
+        * ``memo``, a window sweep's :class:`_WindowMemo`: under a
+          constant epsilon the FPL at distance ``k`` from a stream's end
+          is one float for every prefix and row, so consecutive windows
+          repeat almost every alpha.  Kept apart from the LRU, they
+          cannot evict the values the other paths reuse;
+        * raw solves (``use_cache=False``), with no dedup: the probe
+          sweep, whose scaled budgets rarely recur.
+
+        No home changes a bit (recomputation is bit-identical by the
+        solver contract), so every setting yields the same floats.
         """
         results: List[Optional[np.ndarray]] = [None] * len(jobs)
-        if not use_cache:
-            raw: List[tuple] = []
-            for i, (loss, values) in enumerate(jobs):
-                values = np.asarray(values, dtype=float)
-                if loss is None:
-                    results[i] = np.zeros_like(values)
-                else:
-                    raw.append((i, loss, values))
-            raw_by_n: Dict[int, List[tuple]] = {}
-            for entry in raw:
-                n = entry[1].matrix.array.shape[0]
-                raw_by_n.setdefault(n, []).append(entry)
-            for entries in raw_by_n.values():
-                solved = max_log_ratio_stacked(
-                    [(loss.matrix, values) for _, loss, values in entries]
-                )
-                for (i, _, _), values in zip(entries, solved):
-                    results[i] = values
-            return results  # type: ignore[return-value]
+        # (i, loss, alphas to solve, finish): finish turns the solved
+        # alphas into job i's result (None: they are the result).
         pending: List[tuple] = []
         for i, (loss, values) in enumerate(jobs):
             values = np.asarray(values, dtype=float)
             if loss is None:
                 results[i] = np.zeros_like(values)
                 continue
-            if values.size == 1:
-                # The per-step extension path sends one alpha per group;
-                # a sort-based dedup of one element is pure overhead.
-                unique, inverse = values, _SINGLETON_IDX
-            else:
-                unique, inverse = np.unique(values, return_inverse=True)
-            res = np.empty_like(unique)
             digest = loss.matrix.digest
-            missing: List[int] = []
-            for k, value in enumerate(unique.tolist()):
-                hit = self._cache.get((digest, value, "batch"))
-                if hit is None:
-                    missing.append(k)
+            if not use_cache:
+                pending.append((i, loss, values, None))
+            elif memo is not None:
+                found, missing = memo.lookup(digest, values.tolist())
+                if missing:
+                    alphas = np.fromiter(missing, float, len(missing))
+                    finish = partial(memo.fill, digest, found, missing)
+                    pending.append((i, loss, alphas, finish))
                 else:
-                    res[k] = hit
-            pending.append((i, loss, unique, inverse, res, missing, digest))
+                    results[i] = np.array(found)
+            else:
+                if values.size == 1:
+                    # The per-step extension path sends one alpha per
+                    # group; a sort-based dedup of one element is pure
+                    # overhead.
+                    unique, inverse = values, _SINGLETON_IDX
+                else:
+                    unique, inverse = np.unique(values, return_inverse=True)
+                res = np.empty_like(unique)
+                missed: List[int] = []
+                for k, value in enumerate(unique.tolist()):
+                    hit = self._cache.get((digest, value, "batch"))
+                    if hit is None:
+                        missed.append(k)
+                    else:
+                        res[k] = hit
+                if missed:
+                    alphas = unique[missed]
+                    finish = partial(
+                        self._fill_cache, digest, alphas, res, missed, inverse
+                    )
+                    pending.append((i, loss, alphas, finish))
+                else:
+                    results[i] = res[inverse]
         by_n: Dict[int, List[tuple]] = {}
         for entry in pending:
-            if entry[5]:
-                n = entry[1].matrix.array.shape[0]
-                by_n.setdefault(n, []).append(entry)
+            by_n.setdefault(entry[1].matrix.array.shape[0], []).append(entry)
         for entries in by_n.values():
             solved = max_log_ratio_stacked(
-                [
-                    (loss.matrix, unique[missing])
-                    for _, loss, unique, _, _, missing, _ in entries
-                ]
+                [(loss.matrix, alphas) for _, loss, alphas, _ in entries]
             )
-            for entry, values in zip(entries, solved):
-                _, _, unique, _, res, missing, digest = entry
-                for k, value in zip(missing, values.tolist()):
-                    res[k] = value
-                    self._cache.put((digest, float(unique[k]), "batch"), value)
-        for i, _, _, inverse, res, _, _ in pending:
-            results[i] = res[inverse]
+            for (i, _, _, finish), values in zip(entries, solved):
+                results[i] = values if finish is None else finish(values)
         return results  # type: ignore[return-value]
+
+    def _fill_cache(self, digest, alphas, res, missed, inverse, solved) -> np.ndarray:
+        """Complete a shared-cache lookup with the ``solved`` ``alphas``
+        (unique positions ``missed`` of ``res``)."""
+        for k, alpha, value in zip(missed, alphas.tolist(), solved.tolist()):
+            res[k] = value
+            self._cache.put((digest, alpha, "batch"), value)
+        return res[inverse]
 
     # ------------------------------------------------------------------
     # Queries
@@ -885,7 +1051,7 @@ class FleetAccountant:
         per table row, not per user, by the last sweep or, after a
         mutation, by a query sweep."""
         if self._worst is None:
-            self._sweep(np.arange(self._table.rows), 1, use_cache=True)
+            self._sweep(np.arange(self._table.rows), 1, query=True)
         return self._worst  # type: ignore[return-value]
 
     def remaining_alpha(self) -> Optional[float]:

@@ -6,7 +6,10 @@ population shares a small number of correlation models (the paper
 estimates one per dataset), so the same ``(matrix, alpha)`` solve recurs
 constantly -- across users, across cohorts, across engine restarts within
 a process.  :class:`SolutionCache` memoises those solves behind a bounded
-LRU keyed by ``(matrix digest, rounded alpha)``.
+LRU keyed by the *exact* alpha: ``(matrix digest, alpha)`` for the scalar
+loss path, ``(matrix digest, alpha, "batch")`` for the fleet's batched
+path.  Rounding the key would conflate distinct alphas and make a cached
+value depend on evaluation order.
 
 The cache plugs into :class:`~repro.core.loss_functions.TemporalLossFunction`
 two ways:
@@ -16,6 +19,9 @@ two ways:
   :func:`repro.core.loss_functions.set_shared_solution_cache`, after which
   *every* loss function without an explicit cache (including the scalar
   per-user accountant path) shares it.
+
+The fleet engine's window sweeps do not use it: they memoise in a
+two-generation memo of their own (``FleetAccountant._loss_batch_multi``).
 """
 
 from __future__ import annotations

@@ -80,6 +80,17 @@ def drive(session, n, *, seed=3, start=0):
     return events
 
 
+def crash(session):
+    """Abandon ``session`` the way a SIGKILL would: release its WAL's
+    segment handles with no sync and no clean close (``append`` has
+    already flushed, so the bytes on disk are what a killed process
+    leaves), and stop a sharded backend's worker processes."""
+    session._wal._close_writers()
+    close = getattr(session.backend, "close", None)
+    if close is not None:
+        close()
+
+
 def payloads(events, *, drop_backend=False):
     out = []
     for event in events:
@@ -431,7 +442,7 @@ class TestCrashRecovery:
         config = baseline_config(tmp_path / "live", backend)
         crashed = ReleaseSession(config)
         drive(crashed, crash_at)
-        # Crash: the session is abandoned without close().
+        crash(crashed)
 
         recovered = ReleaseSession.recover(config)
         assert payloads(recovered.events) == payloads(base_events[:crash_at])
@@ -458,6 +469,7 @@ class TestCrashRecovery:
         )
         crashed = ReleaseSession(config)
         drive(crashed, crash_at)
+        crash(crashed)
 
         recovered = ReleaseSession.recover(config)
         # Only the tail since the last compaction is replayed as events.
@@ -481,6 +493,7 @@ class TestCrashRecovery:
         config = make_config(tmp_path)
         crashed = ReleaseSession(config)
         drive(crashed, 5)
+        crash(crashed)
         # Tear the last record: the crash hit mid-append, so the fifth
         # ingest never completed and recovery resumes at four.
         (path,) = segment_paths(config.wal_dir)
@@ -505,7 +518,7 @@ class TestCrashRecovery:
         )
         crashed = ReleaseSession(config)
         drive(crashed, crash_at)
-        crashed.backend.close()  # reap workers; the WAL stays un-closed
+        crash(crashed)
 
         recovered = ReleaseSession.recover(config)
         replayed = len(recovered.events)
@@ -635,7 +648,7 @@ def test_crash_recovery_parity(
             **kwargs,
         )
         crashed, _ = run_wal_stream(config, stream[:crash_at], seed)
-        del crashed  # crash: no close()
+        crash(crashed)
 
         recovered = ReleaseSession.recover(config)
         replayed = len(recovered.events)
@@ -855,6 +868,8 @@ class TestGroupCommit:
             assert payloads(drive(recovered, 2, start=6)) == payloads(
                 drive(straight, 2, start=6)
             )
+            recovered.close()
+            straight.close()
 
     def test_queued_burst_shares_one_group_commit(self):
         import asyncio

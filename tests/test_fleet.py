@@ -35,6 +35,7 @@ from repro.markov import (
     two_state_matrix,
     uniform_matrix,
 )
+from repro.obs import MetricsRegistry
 
 PARITY_ATOL = 1e-9
 
@@ -656,14 +657,14 @@ def _core_profile(pair: int, epsilons: tuple):
     return temporal_privacy_leakage(*CHURN_PAIRS[pair], list(epsilons))
 
 
-def _core_worst(pair_of, spent, step=None):
-    """Worst TPL over every user from :func:`_core_profile`; ``step``
-    maps each user to one more budget (a probed release)."""
+def _core_worst(pair_of, spent, step=None, profile=_core_profile):
+    """Worst TPL over every user from ``profile``; ``step`` maps each
+    user to one more budget (a probed release)."""
     worst = 0.0
     for user, eps in spent.items():
         eps = tuple(eps) + ((step[user],) if step is not None else ())
         if eps:
-            worst = max(worst, _core_profile(pair_of[user], eps).max_tpl)
+            worst = max(worst, profile(pair_of[user], eps).max_tpl)
     return worst
 
 
@@ -806,6 +807,202 @@ class TestChurnParity:
         for scale, worst in zip(scales, probed):
             assert worst == _core_profile(0, (0.3, 0.3, 0.4 * scale)).max_tpl
             assert worst > _core_profile(0, (0.3, 0.3, 0.02 * scale)).max_tpl
+
+
+# ---------------------------------------------------------------------------
+# Converged-suffix exit: long streams, every observable against the core
+# ---------------------------------------------------------------------------
+#: At EXIT_EPSILON the FPL of the first three forward models stops moving,
+#: bit for bit, within 22-31 steps; the last one never does (it cycles in
+#: the last ulp around its supremum), so its row sweeps to t=0 while the
+#: others leave.
+EXIT_PAIRS = [
+    (two_state_matrix(0.6, 0.4), two_state_matrix(0.6, 0.4)),
+    (random_stochastic_matrix(3, seed=6), random_stochastic_matrix(3, seed=6)),
+    (two_state_matrix(0.8, 0.1), None),
+    (None, None),
+    (random_stochastic_matrix(3, seed=16), random_stochastic_matrix(3, seed=16)),
+]
+NEVER_CONVERGES = len(EXIT_PAIRS) - 1
+EXIT_EPSILON = 0.1
+EXIT_ALPHA = 10.0
+
+
+@functools.lru_cache(maxsize=None)
+def _exit_profile(pair: int, epsilons: tuple):
+    return temporal_privacy_leakage(*EXIT_PAIRS[pair], list(epsilons))
+
+
+_exit_worst = functools.partial(_core_worst, profile=_exit_profile)
+
+
+class TestSweepExit:
+    """The same churn as :class:`TestChurnParity` on streams long enough,
+    and models converging fast enough, that rows leave the sweep early:
+    repeated budgets, rollbacks followed by re-releases that repeat the
+    rolled-back budgets above a changed first one, rejected windows,
+    overrides split off after a sweep, joins, removals, migrations and
+    checkpoints.  After every operation each number equals the core
+    recursion over the budgets each user spent."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(
+            st.sampled_from(
+                [
+                    "release",
+                    "window",
+                    "rerelease",
+                    "reject",
+                    "probe",
+                    "join",
+                    "remove",
+                    "migrate",
+                    "checkpoint",
+                ]
+            ),
+            min_size=3,
+            max_size=9,
+        ),
+        seed=st.integers(0, 2**16),
+        slow_from_start=st.booleans(),
+    )
+    def test_every_observable_matches_core(self, ops, seed, slow_from_start):
+        rng = np.random.default_rng(seed)
+        pair_of = {u: int(rng.integers(NEVER_CONVERGES)) for u in range(4)}
+        pair_of[0] = 1  # a forward model the window memo serves
+        if slow_from_start:
+            pair_of[4] = NEVER_CONVERGES
+        spent = {u: [] for u in pair_of}
+        joined = dict.fromkeys(pair_of, 0)
+        steps = []  # (epsilon, overrides) per recorded release
+        registry = MetricsRegistry()
+        fleet = FleetAccountant(
+            {u: EXIT_PAIRS[p] for u, p in pair_of.items()},
+            alpha=EXIT_ALPHA,
+            registry=registry,
+        )
+
+        def draw_epsilon():
+            roll = rng.random()
+            if roll < 0.1:
+                return 0.0
+            if roll < 0.7:
+                return EXIT_EPSILON
+            return float(rng.uniform(0.01, 0.4))
+
+        def draw_overrides():
+            if rng.random() < 0.6:
+                return None
+            users = rng.choice(sorted(spent), size=min(2, len(spent)), replace=False)
+            return {int(u): draw_epsilon() for u in users}
+
+        def window(budgets, overrides):
+            expected = []
+            for epsilon, step in zip(budgets, overrides):
+                steps.append((epsilon, step))
+                for user, eps in spent.items():
+                    eps.append((step or {}).get(user, epsilon))
+                expected.append(_exit_worst(pair_of, spent))
+            assert fleet.add_window(budgets, overrides).tolist() == expected
+
+        def rolled_back(n):
+            fleet.rollback(n)
+            del steps[len(steps) - n :]
+            for eps in spent.values():
+                del eps[len(eps) - n :]
+
+        # A stream whose early budgets carry its worst TPL, then a long
+        # run of one budget: the second window's rows leave the sweep
+        # (unless a never-converging row is in the table), and the TPL
+        # they fold in from below their exit is the worst.  The zero
+        # budget makes a row without forward correlation reach FPL 0
+        # there, which a row holding zeros instead of its FPL would
+        # match.
+        head = [float(rng.uniform(0.2, 0.5)), 0.0, float(rng.uniform(0.2, 0.5))]
+        window(head + [EXIT_EPSILON] * 36, [None] * 39)
+        window([EXIT_EPSILON] * 4, [None] * 4)
+        assert registry.counter("fleet.sweep.memo.hits").value > 0
+        if not slow_from_start:
+            depth = registry.snapshot()['fleet.sweep.depth{kind="window"}']
+            assert depth["max"] < fleet.horizon  # the second sweep exited
+            user = max(pair_of) + 1
+            pair_of[user], spent[user] = NEVER_CONVERGES, []
+            joined[user] = fleet.horizon
+            fleet.add_user(user, EXIT_PAIRS[NEVER_CONVERGES])
+
+        for op in ops:
+            room = fleet.horizon - max(joined.values())
+            if op == "release":
+                epsilon, overrides = draw_epsilon(), draw_overrides()
+                steps.append((epsilon, overrides))
+                for user, eps in spent.items():
+                    eps.append((overrides or {}).get(user, epsilon))
+                assert fleet.add_release(epsilon, overrides) == _exit_worst(
+                    pair_of, spent
+                )
+            elif op == "window":
+                size = int(rng.integers(1, 7))
+                window(
+                    [draw_epsilon() for _ in range(size)],
+                    [draw_overrides() for _ in range(size)],
+                )
+            elif op == "rerelease" and room >= 2:
+                n = int(rng.integers(2, min(room, 6) + 1))
+                again = steps[len(steps) - n :]
+                rolled_back(n)
+                budgets = [again[0][0] + 0.05] + [e for e, _ in again[1:]]
+                kept = [
+                    {u: e for u, e in (o or {}).items() if u in spent}
+                    for _, o in again
+                ]
+                window(budgets, kept)
+            elif op == "reject":
+                before = fleet.max_tpl()
+                with pytest.raises(InvalidPrivacyParameterError):
+                    fleet.add_window([EXIT_EPSILON, 2 * EXIT_ALPHA])
+                assert fleet.max_tpl() == before
+                if room > 0:
+                    rolled_back(int(rng.integers(1, min(room, 4) + 1)))
+                op = "probe"
+            elif op == "join":
+                user = max(pair_of) + 1
+                pair_of[user] = int(rng.integers(len(EXIT_PAIRS)))
+                spent[user], joined[user] = [], fleet.horizon
+                fleet.add_user(user, EXIT_PAIRS[pair_of[user]])
+            elif op == "remove" and len(spent) > 1:
+                user = int(rng.choice(sorted(spent)))
+                fleet.remove_user(user)
+                del pair_of[user], spent[user], joined[user]
+            elif op == "migrate":
+                user = int(rng.choice(sorted(spent)))
+                pair_of[user] = int(rng.integers(len(EXIT_PAIRS)))
+                fleet.migrate_user(user, EXIT_PAIRS[pair_of[user]])
+            elif op == "checkpoint":
+                with tempfile.TemporaryDirectory() as directory:
+                    save_checkpoint(fleet, directory)
+                    fleet = load_checkpoint(directory)
+                fleet.instrument(registry)
+            if op == "probe":
+                epsilon, overrides = draw_epsilon(), draw_overrides() or {}
+                scales = [1.0, 0.5, 0.125]
+                probed = fleet.probe_release_scales(epsilon, overrides, scales)
+                for scale, worst in zip(scales, probed):
+                    step = {u: overrides.get(u, epsilon) * scale for u in spent}
+                    assert worst == _exit_worst(pair_of, spent, step)
+
+            assert fleet.max_tpl() == _exit_worst(pair_of, spent)
+            for user, eps in spent.items():
+                assert fleet.user_epsilons(user).tolist() == eps
+                profile = fleet.profile(user)
+                if not eps:
+                    assert profile.horizon == 0
+                    continue
+                reference = _exit_profile(pair_of[user], tuple(eps))
+                for name in ("epsilons", "bpl", "fpl", "tpl"):
+                    assert np.array_equal(
+                        getattr(profile, name), getattr(reference, name)
+                    ), (op, user, name)
 
 
 # ---------------------------------------------------------------------------

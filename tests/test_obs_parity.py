@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from test_service_parity import alpha_policies, populations, streams
 
 from repro.data import HistogramQuery
+from repro.markov import random_stochastic_matrix, two_state_matrix
 from repro.obs import MetricsRegistry, install_solver_metrics
 from repro.service import ReleaseSession, SessionConfig
 
@@ -255,3 +256,28 @@ def test_metrics_do_not_change_clamp_decisions(backend, population, stream, seed
                 key.startswith("backend.probe_scales.seconds")
                 for key in snapshot
             )
+
+
+def test_metrics_do_not_change_an_early_exit_stream():
+    """A stream long enough, on models converging fast enough, that the
+    fleet's window sweeps stop short of t=0 (the converged-suffix exit)
+    and answer from their memo: metrics on and off give the same
+    numbers, and the registry saw the early exits."""
+    fast = two_state_matrix(0.6, 0.4)
+    slower = random_stochastic_matrix(3, seed=6)
+    population = {
+        u: (fast, fast) if u % 2 else (slower, slower) for u in range(N_USERS)
+    }
+    stream = [(0.1, None)] * 40 + [(0.1, {1: 0.05})] + [(0.1, None)] * 9
+    plain = run_stream(population, stream, None, "reject", 5, registry=None)
+    registry = MetricsRegistry()
+    metered = run_stream(population, stream, None, "reject", 5, registry=registry)
+    assert_events_equal(plain[0], metered[0])
+    assert plain[1] == metered[1]
+    assert_profiles_equal(plain[2], metered[2])
+
+    snapshot = registry.snapshot()
+    depth = snapshot['fleet.sweep.depth{kind="window"}']
+    assert depth["count"] == len(stream)
+    assert depth["max"] < len(stream)  # later sweeps left before t=0
+    assert snapshot["fleet.sweep.memo.hits"] > snapshot["fleet.sweep.memo.misses"]

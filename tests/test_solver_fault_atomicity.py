@@ -169,6 +169,36 @@ def test_fleet_engine_add_window_with_overrides_is_fault_atomic():
     )
 
 
+def test_fleet_window_fault_keeps_held_fpl_bounds_and_memo():
+    """The next sweep compares against the held FPL rows under their
+    bounds and reads the last window's memo, so a fault anywhere in a
+    window must leave all three as they were: the sweep writes them only
+    once it has finished."""
+
+    def build():
+        fleet = FleetAccountant(POPULATION)
+        fleet.add_window(PRELUDE * 3)
+        return fleet
+
+    def internals(fleet):
+        table, rows = fleet._table, fleet._table.rows
+        return (
+            table.series[2, :rows, : fleet.horizon].tobytes(),
+            table.keys[3, :rows].tolist(),
+            {digest: dict(values) for digest, values in fleet._memo.items()},
+        )
+
+    total = _count_evaluations(build, lambda f: f.add_window(WINDOW))
+    for fail_at in range(1, total + 1):
+        fleet = build()
+        before = internals(fleet)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _inject_fault(monkeypatch, fail_at)
+            with pytest.raises(SolverError):
+                fleet.add_window(WINDOW)
+        assert internals(fleet) == before, f"fault at {fail_at}/{total}"
+
+
 @pytest.mark.parametrize(
     "backend_cls", [ScalarAccountantBackend, FleetAccountantBackend]
 )
