@@ -43,6 +43,7 @@ from .budget import (
     BudgetAllocation,
     allocate_quantified,
     allocate_upper_bound,
+    validate_alpha,
     validate_epsilon,
     validate_epsilons,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "BudgetAllocation",
     "allocate_quantified",
     "allocate_upper_bound",
+    "validate_alpha",
     "validate_epsilon",
     "validate_epsilons",
     "PersonalizedAllocation",

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..exceptions import InvalidPrivacyParameterError
 from .adversary import AdversaryT
-from .budget import validate_epsilon
+from .budget import validate_alpha, validate_epsilon
 from .leakage import LeakageProfile, forward_privacy_leakage
 from .loss_functions import TemporalLossFunction
 
@@ -114,11 +114,7 @@ class TemporalPrivacyAccountant:
             self._users[user] = _UserState(*pair, cache=cache)
         if not self._users:
             raise ValueError("at least one user correlation is required")
-        if alpha is not None and alpha <= 0:
-            raise InvalidPrivacyParameterError(
-                f"alpha must be > 0, got {alpha}"
-            )
-        self._alpha = alpha
+        self._alpha = None if alpha is None else validate_alpha(alpha)
         self._epsilons: List[float] = []
 
     @staticmethod

@@ -23,6 +23,15 @@ The implementations here are vectorised with numpy:
 * :func:`max_log_ratio` -- the full maximisation over ordered row pairs of
   a transition matrix, i.e. the temporal loss function ``L_B``/``L_F`` of
   Eq. (23)/(24), batched over all pairs at once.
+* :func:`max_log_ratio_stacked` -- the same loss for many ``(matrix,
+  alphas)`` jobs in shared sweeps over ``(A, pairs, n)`` arrays, each
+  distinct ``(job, alpha)`` entry solved once per call; the fleet reaches
+  Algorithm 1 only through it.  :func:`max_log_ratio_batch` is its
+  one-job case.
+
+Every entry point takes alphas that are finite and ``>= 0``, and every
+value the batched kernels return is bit-identical to :func:`max_log_ratio`
+on the same matrix and alpha.
 """
 
 from __future__ import annotations
@@ -80,6 +89,15 @@ class PairSolution:
         return (self.q_sum * e + 1.0) / (self.d_sum * e + 1.0)
 
 
+def _check_alpha(alpha: float) -> None:
+    """The alpha rule of every Algorithm-1 entry point: finite and
+    ``>= 0`` (a NaN would otherwise read as zero leakage)."""
+    if not 0.0 <= alpha < math.inf:
+        raise InvalidPrivacyParameterError(
+            f"alpha must be finite and >= 0, got {alpha}"
+        )
+
+
 def solve_pair(
     q: np.ndarray, d: np.ndarray, alpha: float, epsilon_total: float = 1.0
 ) -> PairSolution:
@@ -90,16 +108,16 @@ def solve_pair(
     q, d:
         Two rows of a (backward or forward) transition matrix.
     alpha:
-        The previous BPL / next FPL.  ``alpha == 0`` returns a zero
-        increment immediately (no prior leakage to amplify).
+        The previous BPL / next FPL, finite and ``>= 0``.  ``alpha == 0``
+        returns a zero increment immediately (no prior leakage to
+        amplify).
     epsilon_total:
         Row sums (1 for stochastic rows); kept explicit so the function is
         also correct for sub-stochastic test vectors.
     """
     q = np.asarray(q, dtype=float)
     d = np.asarray(d, dtype=float)
-    if alpha < 0:
-        raise InvalidPrivacyParameterError(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     n = q.shape[0]
     e = math.expm1(alpha)  # e^alpha - 1, accurate near zero
     empty = np.zeros(n, dtype=bool)
@@ -181,7 +199,7 @@ def _max_log_ratio_impl(
         Transition matrix (backward ``P_B`` for ``L_B``, forward ``P_F``
         for ``L_F``).
     alpha:
-        Previous BPL / next FPL; must be ``>= 0``.
+        Previous BPL / next FPL; must be finite and ``>= 0``.
     return_pair:
         When true, also return the :class:`PairSolution` achieving the
         maximum (needed by Theorem 5 and Algorithms 2/3); ``None`` when
@@ -191,8 +209,7 @@ def _max_log_ratio_impl(
     -------
     The loss ``L(alpha) >= 0`` (and optionally the maximising pair).
     """
-    if alpha < 0:
-        raise InvalidPrivacyParameterError(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     p = as_transition_matrix(matrix).array
     n = p.shape[0]
     e = math.expm1(alpha)
@@ -312,8 +329,21 @@ def max_log_ratio_stacked(jobs) -> list:
     independence of :func:`_batch_sweep` makes each job's results
     bit-identical to a standalone ``max_log_ratio_batch(matrix, alphas)``
     call, and every value bit-identical to the scalar
-    :func:`max_log_ratio`.  Counts the total number of alphas towards
-    ``solver.algorithm1.solves`` when solver metrics are installed.
+    :func:`max_log_ratio`.
+
+    Each distinct ``(job, alpha)`` entry is solved once: a job's repeated
+    alphas (a fleet's override rows on the group's budgets repeat their
+    group's FPL) share one sweep entry, and the values are mapped back
+    with one gather.  This is bit-safe because an entry's value depends
+    only on its matrix and its float, so equal floats of one job give
+    equal values; ``0.0`` and ``-0.0`` merge, and both give ``0.0``.
+    Calls where no job holds two alphas skip the dedup.  The bookkeeping
+    is array operations; only ``math.expm1`` runs per distinct alpha.
+
+    When solver metrics are installed, the requested alphas count towards
+    ``solver.algorithm1.solves`` and the entries swept (distinct, with
+    ``e^alpha - 1 > 0``, on a matrix with a Corollary-2 candidate)
+    towards ``solver.algorithm1.distinct``.
 
     Parameters
     ----------
@@ -327,11 +357,11 @@ def max_log_ratio_stacked(jobs) -> list:
     """
     registry = solver_metrics()
     if registry is None:
-        return _max_log_ratio_stacked_impl(jobs)
+        return _max_log_ratio_stacked_impl(jobs)[0]
     start = time.perf_counter()
-    total = 0
+    total = swept = 0
     try:
-        out = _max_log_ratio_stacked_impl(jobs)
+        out, swept = _max_log_ratio_stacked_impl(jobs)
         total = sum(int(values.size) for values in out)
         return out
     finally:
@@ -339,11 +369,14 @@ def max_log_ratio_stacked(jobs) -> list:
             time.perf_counter() - start
         )
         registry.counter("solver.algorithm1.solves").inc(total)
+        registry.counter("solver.algorithm1.distinct").inc(swept)
 
 
-def _max_log_ratio_stacked_impl(jobs) -> list:
-    prepared = []
-    outs = []
+def _max_log_ratio_stacked_impl(jobs) -> Tuple[list, int]:
+    """Uninstrumented :func:`max_log_ratio_stacked` body.  Also returns
+    the number of distinct ``(job, alpha)`` entries it swept."""
+    arrays = []
+    pieces = []
     n_ref: Optional[int] = None
     for matrix, alphas in jobs:
         alphas = np.asarray(alphas, dtype=float)
@@ -357,49 +390,74 @@ def _max_log_ratio_stacked_impl(jobs) -> list:
                 "stacked solve requires matrices of one size; got "
                 f"{p.shape[0]}x{p.shape[0]} after {n_ref}x{n_ref}"
             )
-        outs.append(np.zeros_like(alphas))
-        prepared.append((p, alphas))
-    # One combined validation pass: with hundreds of small jobs per call
-    # the per-job reductions dominate the sweep itself.
-    if prepared:
-        flat = np.concatenate([alphas for _, alphas in prepared])
-        if flat.size and (np.any(flat < 0) or not np.all(np.isfinite(flat))):
-            raise InvalidPrivacyParameterError(
-                "all alphas must be finite and >= 0"
-            )
-    if n_ref is None or n_ref == 1:
-        return outs
+        arrays.append(p)
+        pieces.append(alphas)
+    if not pieces:
+        return [], 0
+    flat = np.concatenate(pieces)  # job-major
+    # One validation pass for every job; min and max propagate NaN.
+    if flat.size and not (flat.min() >= 0.0 and flat.max() < math.inf):
+        raise InvalidPrivacyParameterError("all alphas must be finite and >= 0")
+    if n_ref == 1 or not flat.size:
+        return _split(np.zeros(flat.size), pieces), 0
 
+    # np.take rather than fancy indexing: the same copies, several times
+    # faster on these small trailing axes.
     j_idx, k_idx = np.where(~np.eye(n_ref, dtype=bool))
-    q_all = np.stack([p[j_idx] for p, _ in prepared])  # (jobs, pairs, n)
-    d_all = np.stack([p[k_idx] for p, _ in prepared])
+    stacked = np.array(arrays)
+    q_all = np.take(stacked, j_idx, axis=1)  # (jobs, pairs, n)
+    d_all = np.take(stacked, k_idx, axis=1)
     m_all = q_all > d_all  # Corollary 2 candidates, per job
-    any_candidates = m_all.any(axis=(1, 2))
+    live = m_all.any(axis=(1, 2))
 
-    # Flat work list of (job, position, e^alpha - 1).  math.expm1 (C
-    # libm) rather than np.expm1 (SIMD): the two can differ in the last
-    # ulp, and the contract is bit-identical results with the scalar
-    # max_log_ratio path.
-    entries = []
-    expm1 = math.expm1
-    for ji, (_, alphas) in enumerate(prepared):
-        if not any_candidates[ji]:
-            continue
-        for ai, value in enumerate(alphas.tolist()):
-            e = expm1(value)
-            if e > 0.0:
-                entries.append((ji, ai, e))
-    if not entries:
-        return outs
+    # The distinct (job, alpha) entries.  A stable sort of the job-major
+    # alphas leaves equal alphas in job order, so an entry is new where
+    # its alpha or its job differs from its sorted neighbour's.  0.0 and
+    # -0.0 merge; both give e == 0 and the value 0.0.  With no job holding
+    # two alphas every entry is distinct already.
+    sizes = [piece.size for piece in pieces]
+    job_of = np.repeat(np.arange(len(sizes)), sizes)
+    if max(sizes) > 1:
+        order = np.argsort(flat, kind="stable")
+        sorted_alphas = flat[order]
+        sorted_jobs = job_of[order]
+        new = np.empty(flat.size, dtype=bool)
+        new[0] = True
+        np.not_equal(sorted_alphas[1:], sorted_alphas[:-1], out=new[1:])
+        new[1:] |= sorted_jobs[1:] != sorted_jobs[:-1]
+        inverse = np.empty(flat.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        alphas, job_of = sorted_alphas[new], sorted_jobs[new]
+    else:
+        alphas, inverse = flat, None
 
-    per_alpha = j_idx.size * n_ref
-    chunk = max(1, _BATCH_CHUNK_ELEMENTS // per_alpha)
-    for lo in range(0, len(entries), chunk):
-        part = entries[lo : lo + chunk]
-        jsel = np.array([ji for ji, _, _ in part])
-        e = np.array([ev for _, _, ev in part])
-        values = _batch_sweep(q_all[jsel], d_all[jsel], m_all[jsel], e)
-        for (ji, ai, _), value in zip(part, values):
-            outs[ji][ai] = value
+    # math.expm1 (C libm) rather than np.expm1 (SIMD): the two can differ
+    # in the last ulp, and the contract is bit-identical results with the
+    # scalar max_log_ratio path.
+    e = np.fromiter(map(math.expm1, alphas.tolist()), float, alphas.size)
+    work = np.flatnonzero((e > 0.0) & live[job_of])
+    values = np.zeros(alphas.size)
+    chunk = max(1, _BATCH_CHUNK_ELEMENTS // (j_idx.size * n_ref))
+    for lo in range(0, work.size, chunk):
+        sel = work[lo : lo + chunk]
+        jsel = job_of[sel]
+        values[sel] = _batch_sweep(
+            np.take(q_all, jsel, axis=0),
+            np.take(d_all, jsel, axis=0),
+            np.take(m_all, jsel, axis=0),
+            e[sel],
+        )
+    if inverse is not None:
+        values = np.take(values, inverse)
+    return _split(values, pieces), int(work.size)
+
+
+def _split(flat: np.ndarray, pieces: list) -> list:
+    """Views of ``flat``, one per piece, each shaped like its piece."""
+    outs = []
+    lo = 0
+    for piece in pieces:
+        hi = lo + piece.size
+        outs.append(flat[lo:hi])
+        lo = hi
     return outs
-

@@ -41,6 +41,7 @@ __all__ = [
     "BudgetAllocation",
     "allocate_upper_bound",
     "allocate_quantified",
+    "validate_alpha",
     "validate_epsilon",
     "validate_epsilons",
 ]
@@ -84,6 +85,27 @@ def validate_epsilon(
             "accounting"
         )
     return epsilon
+
+
+def validate_alpha(value, *, name: str = "alpha") -> float:
+    """Validate an alpha-DP_T bound (a TPL target) and return it as a
+    ``float``.
+
+    The one rule for every bound the library enforces or allocates for:
+    finite and ``> 0``.  A NaN bound compares false against every
+    leakage, so an accountant holding one would never reject a release.
+    """
+    try:
+        alpha = float(value)
+    except (TypeError, ValueError):
+        raise InvalidPrivacyParameterError(
+            f"{name} must be a real number, got {value!r}"
+        ) from None
+    if not 0.0 < alpha < math.inf:
+        raise InvalidPrivacyParameterError(
+            f"{name} must be finite and > 0, got {alpha}"
+        )
+    return alpha
 
 
 def validate_epsilons(
@@ -178,8 +200,7 @@ def _stabilising_epsilon(
 ) -> float:
     """``eps`` with ``L(alpha) + eps == alpha`` (== ``alpha`` when there is
     no correlation)."""
-    if alpha <= 0:
-        raise InvalidPrivacyParameterError(f"alpha must be > 0, got {alpha}")
+    alpha = validate_alpha(alpha)
     if loss is None:
         return alpha
     increment = loss(alpha)
@@ -316,8 +337,7 @@ def allocate_upper_bound(correlations, alpha: float) -> BudgetAllocation:
         If any user's correlation is the strongest one (identity-like),
         for which no constant positive budget has a finite supremum.
     """
-    if alpha <= 0:
-        raise InvalidPrivacyParameterError(f"alpha must be > 0, got {alpha}")
+    alpha = validate_alpha(alpha)
     users = _normalise_users(correlations)
     per_user = {
         user: _single_user_upper_bound(b, f, alpha)
@@ -335,8 +355,7 @@ def allocate_quantified(correlations, alpha: float) -> BudgetAllocation:
     at every time point -- strictly better utility than Algorithm 2 for
     short horizons (Figs. 7 and 8).
     """
-    if alpha <= 0:
-        raise InvalidPrivacyParameterError(f"alpha must be > 0, got {alpha}")
+    alpha = validate_alpha(alpha)
     users = _normalise_users(correlations)
     per_user = {
         user: _single_user_quantified(b, f, alpha)

@@ -88,10 +88,9 @@ class TemporalLossFunction:
         return self._matrix
 
     def _solve(self, alpha: float) -> Tuple[float, Optional[PairSolution]]:
-        if alpha < 0:
-            raise InvalidPrivacyParameterError(
-                f"alpha must be >= 0, got {alpha}"
-            )
+        # No memo or cache ever holds an alpha max_log_ratio refused, so
+        # its check (finite and >= 0) covers every path.
+        #
         # The memo key is the *exact* float.  Rounding it (the historical
         # key was round(alpha, 15)) conflates distinct alphas that agree
         # to 15 digits, which makes the cached value depend on evaluation
@@ -117,7 +116,9 @@ class TemporalLossFunction:
         return hit
 
     def __call__(self, alpha: float) -> float:
-        """Evaluate ``L(alpha)`` -- the leakage increment of Eq. (23)/(24)."""
+        """Evaluate ``L(alpha)`` -- the leakage increment of Eq. (23)/(24).
+        Raises :class:`~repro.exceptions.InvalidPrivacyParameterError`
+        unless ``alpha`` is finite and ``>= 0``."""
         return self._solve(alpha)[0]
 
     def maximizing_pair(self, alpha: float) -> Optional[PairSolution]:
@@ -140,10 +141,9 @@ class TemporalLossFunction:
         before).  Always positive because ``L(alpha) < alpha`` whenever
         ``alpha > 0`` and the correlation is not the strongest one.
         """
-        if alpha <= 0:
-            raise InvalidPrivacyParameterError(
-                f"alpha must be > 0, got {alpha}"
-            )
+        from .budget import validate_alpha  # budget imports this module
+
+        alpha = validate_alpha(alpha)
         epsilon = alpha - self(alpha)
         if epsilon <= 0:
             # Strongest correlation: L(alpha) == alpha, no positive budget

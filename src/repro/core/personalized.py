@@ -24,11 +24,11 @@ from typing import Dict, Hashable, Mapping, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import InvalidPrivacyParameterError
 from .budget import (
     BudgetAllocation,
     _single_user_quantified,
     _single_user_upper_bound,
+    validate_alpha,
 )
 from .leakage import LeakageProfile, temporal_privacy_leakage
 
@@ -132,11 +132,10 @@ def allocate_personalized(
             raise ValueError(f"missing alpha targets for users: {missing}")
     else:
         alpha_map = {user: float(alphas) for user in correlations}
-    for user, alpha in alpha_map.items():
-        if alpha <= 0:
-            raise InvalidPrivacyParameterError(
-                f"alpha for user {user!r} must be > 0, got {alpha}"
-            )
+    alpha_map = {
+        user: validate_alpha(alpha, name=f"alpha for user {user!r}")
+        for user, alpha in alpha_map.items()
+    }
 
     allocations = {
         user: single(backward, forward, alpha_map[user])

@@ -50,7 +50,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.algorithm1 import max_log_ratio_stacked
-from ..core.budget import validate_epsilon
+from ..core.budget import validate_alpha, validate_epsilon
 from ..core.leakage import LeakageProfile, backward_privacy_leakage
 from ..core.loss_functions import TemporalLossFunction
 from ..exceptions import InvalidPrivacyParameterError
@@ -240,11 +240,7 @@ class FleetAccountant:
         cache: Optional[SolutionCache] = None,
         registry=None,
     ) -> None:
-        if alpha is not None and alpha <= 0:
-            raise InvalidPrivacyParameterError(
-                f"alpha must be > 0, got {alpha}"
-            )
-        self._alpha = alpha
+        self._alpha = None if alpha is None else validate_alpha(alpha)
         self._registry = registry if registry is not None else NULL_REGISTRY
         self._cache = cache if cache is not None else SolutionCache()
         self._index = CohortIndex()
@@ -916,8 +912,12 @@ class FleetAccountant:
           is one float for every prefix and row, so consecutive windows
           repeat almost every alpha.  Kept apart from the LRU, they
           cannot evict the values the other paths reuse;
-        * raw solves (``use_cache=False``), with no dedup: the probe
-          sweep, whose scaled budgets rarely recur.
+        * raw solves (``use_cache=False``): the probe sweep, whose scaled
+          budgets rarely recur from one call to the next.  Within one
+          call they do: an override row back on its group's budgets
+          repeats the group's FPL (about 75% of a ``clamp`` probe's
+          alphas), and :func:`max_log_ratio_stacked` solves each
+          distinct ``(job, alpha)`` once, so this path adds no dedup.
 
         No home changes a bit (recomputation is bit-identical by the
         solver contract), so every setting yields the same floats.

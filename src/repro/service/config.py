@@ -23,8 +23,12 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from ..core.budget import BudgetAllocation, validate_epsilon, validate_epsilons
-from ..exceptions import InvalidPrivacyParameterError
+from ..core.budget import (
+    BudgetAllocation,
+    validate_alpha,
+    validate_epsilon,
+    validate_epsilons,
+)
 from .backends import DEFAULT_FLEET_THRESHOLD, normalise_correlations
 
 __all__ = [
@@ -62,12 +66,8 @@ class AlphaPolicy:
     clamp_resolution: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.alpha is not None and (
-            not np.isfinite(self.alpha) or self.alpha <= 0
-        ):
-            raise InvalidPrivacyParameterError(
-                f"alpha must be finite and > 0, got {self.alpha}"
-            )
+        if self.alpha is not None:
+            validate_alpha(self.alpha)
         if self.mode not in ALPHA_MODES:
             raise ValueError(
                 f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}"

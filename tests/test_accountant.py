@@ -34,6 +34,13 @@ class TestConstruction:
         with pytest.raises(InvalidPrivacyParameterError):
             TemporalPrivacyAccountant(correlations, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, correlations, alpha):
+        """A NaN bound compares false against every leakage: accepted, it
+        would let every release through."""
+        with pytest.raises(InvalidPrivacyParameterError, match="finite"):
+            TemporalPrivacyAccountant(correlations, alpha=alpha)
+
     def test_repr(self, correlations):
         assert "releases=0" in repr(TemporalPrivacyAccountant(correlations))
 

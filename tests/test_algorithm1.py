@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     LfpProblem,
+    TemporalLossFunction,
     max_log_ratio,
     max_log_ratio_batch,
     max_log_ratio_stacked,
@@ -26,6 +27,43 @@ from repro.markov import (
 )
 
 from strategies import alphas, transition_matrices
+
+#: Alphas every Algorithm-1 entry point refuses.
+BAD_ALPHAS = [math.nan, math.inf, -math.inf, -0.5]
+
+#: Edge alphas: signed zeros (e == +-0, value 0.0), the smallest subnormal
+#: (e > 0, swept) and large values (e up to ~1e304).
+EDGE_ALPHAS = [0.0, -0.0, 5e-324, 50.0, 700.0]
+
+
+@st.composite
+def stacked_jobs(draw):
+    """Jobs for the deduplicating stacked kernel: one matrix size n in
+    {2, 3, 4}; up to three matrices, so two jobs often share one matrix
+    object; alphas drawn from one small pool, so jobs repeat alphas and
+    jobs on different matrices share them; empty jobs."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    matrices = draw(
+        st.lists(transition_matrices(min_n=n, max_n=n), min_size=1, max_size=3)
+    )
+    pool = draw(
+        st.lists(
+            st.one_of(alphas(), st.sampled_from(EDGE_ALPHAS)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    jobs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(matrices),
+                st.lists(st.sampled_from(pool), max_size=8),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return [(matrix, np.array(values, dtype=float)) for matrix, values in jobs]
 
 
 class TestSolvePair:
@@ -156,11 +194,38 @@ class TestMaxLogRatioBatched:
 
     GRID = [0.0, 1e-12, 0.25, 0.25, 1.0, 5.0, 0.0]
 
-    @given(transition_matrices(), st.lists(alphas(), min_size=1, max_size=6))
-    def test_batch_matches_scalar(self, m, values):
+    @given(
+        transition_matrices(),
+        st.lists(alphas(), min_size=1, max_size=6),
+        st.sampled_from(BAD_ALPHAS),
+        st.integers(0, 6),
+    )
+    def test_batch_matches_scalar(self, m, values, bad, at):
+        """Every value equals the scalar path's, and an alpha the scalar
+        path refuses, spliced in anywhere, makes the batch refuse too."""
         batch = max_log_ratio_batch(m, values)
         for value, expected in zip(values, batch):
             assert max_log_ratio(m, value) == expected
+        with pytest.raises(InvalidPrivacyParameterError):
+            max_log_ratio(m, bad)
+        with pytest.raises(InvalidPrivacyParameterError):
+            max_log_ratio_batch(m, values[:at] + [bad] + values[at:])
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_every_entry_point_refuses_bad_alphas(self, alpha):
+        """A NaN must not read as zero leakage, nor an infinity as NaN,
+        on any entry point."""
+        m = two_state_matrix(0.8, 0.1)
+        with pytest.raises(InvalidPrivacyParameterError):
+            max_log_ratio(m, alpha)
+        with pytest.raises(InvalidPrivacyParameterError):
+            solve_pair(m.array[0], m.array[1], alpha)
+        with pytest.raises(InvalidPrivacyParameterError):
+            TemporalLossFunction(m)(alpha)
+        with pytest.raises(InvalidPrivacyParameterError):
+            max_log_ratio_batch(m, [0.3, alpha])
+        with pytest.raises(InvalidPrivacyParameterError):
+            max_log_ratio_stacked([(m, [0.3]), (m, [alpha])])
 
     @given(transition_matrices(), st.lists(alphas(), min_size=1, max_size=6))
     def test_batch_is_chunk_invariant(self, m, values):
@@ -224,6 +289,27 @@ class TestMaxLogRatioBatched:
             algorithm1_module._BATCH_CHUNK_ELEMENTS = original
         for a, b in zip(reference, chunked):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk_alphas", [1, 3])
+    @given(jobs=stacked_jobs())
+    def test_stacked_dedup_matches_scalar(self, chunk_alphas, jobs):
+        """The kernel solves each distinct (job, alpha) entry once and maps
+        the values back: every job's result has its input's shape and
+        every value is the scalar solver's bit for bit (signed zeros
+        included), with chunks of one or three alphas, so repeats
+        straddle chunks."""
+        n = jobs[0][0].n
+        original = algorithm1_module._BATCH_CHUNK_ELEMENTS
+        algorithm1_module._BATCH_CHUNK_ELEMENTS = chunk_alphas * n * (n - 1) * n
+        try:
+            results = max_log_ratio_stacked(jobs)
+        finally:
+            algorithm1_module._BATCH_CHUNK_ELEMENTS = original
+        assert len(results) == len(jobs)
+        for (matrix, values), got in zip(jobs, results):
+            assert got.shape == values.shape
+            expected = np.array([max_log_ratio(matrix, v) for v in values.tolist()])
+            assert got.tobytes() == expected.tobytes()
 
     def test_stacked_rejects_mixed_sizes(self):
         with pytest.raises(ValueError, match="one size"):

@@ -9,6 +9,7 @@ from repro.core import (
     allocate_quantified,
     allocate_upper_bound,
     temporal_privacy_leakage,
+    validate_alpha,
 )
 from repro.exceptions import (
     InvalidPrivacyParameterError,
@@ -20,6 +21,32 @@ from repro.markov import (
     two_state_matrix,
     uniform_matrix,
 )
+
+
+class TestValidateAlpha:
+    def test_returns_a_float(self):
+        value = validate_alpha(np.float64(0.5))
+        assert value == 0.5 and type(value) is float
+
+    @pytest.mark.parametrize(
+        "alpha", [0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_all_but_finite_positive(self, alpha):
+        with pytest.raises(InvalidPrivacyParameterError, match="finite and > 0"):
+            validate_alpha(alpha)
+
+    def test_rejects_non_numbers_with_the_name(self):
+        with pytest.raises(InvalidPrivacyParameterError, match="bound must be"):
+            validate_alpha("high", name="bound")
+
+    @pytest.mark.parametrize("allocate", [allocate_upper_bound, allocate_quantified])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_allocators_reject_non_finite_alpha(
+        self, fig7_correlations, allocate, alpha
+    ):
+        """A NaN target must not come back as an all-NaN allocation."""
+        with pytest.raises(InvalidPrivacyParameterError, match="finite"):
+            allocate(fig7_correlations, alpha)
 
 
 class TestAlgorithm2:

@@ -107,6 +107,13 @@ class TestAllocate:
         assert code == 1
         assert "error:" in captured.err
 
+    def test_nan_alpha_fails_before_printing(self, matrix_file, capsys):
+        code = main(["allocate", "-m", matrix_file, "--alpha", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "finite and > 0" in captured.err
+        assert captured.out == ""
+
 
 class TestExperiments:
     def test_runs_named_experiment(self, capsys):

@@ -288,6 +288,11 @@ class TestEngineBehaviour:
         with pytest.raises(InvalidPrivacyParameterError):
             fleet.add_release(float("nan"))
 
+    @pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf")])
+    def test_rejects_bad_alpha(self, models, alpha):
+        with pytest.raises(InvalidPrivacyParameterError):
+            FleetAccountant((models[0], models[0]), alpha=alpha)
+
     def test_alpha_bound_and_rollback(self):
         identity = identity_matrix(2)
         fleet = FleetAccountant(

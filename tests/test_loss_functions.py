@@ -113,6 +113,12 @@ class TestFixedPointEpsilon:
         with pytest.raises(InvalidPrivacyParameterError):
             TemporalLossFunction(moderate_matrix).epsilon_for_fixed_point(0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_fixed_point_rejects_non_finite_alpha(self, moderate_matrix, alpha):
+        loss = TemporalLossFunction(moderate_matrix)
+        with pytest.raises(InvalidPrivacyParameterError, match="> 0"):
+            loss.epsilon_for_fixed_point(alpha)
+
 
 class TestIterate:
     def test_iterate_matches_manual_recursion(self, moderate_matrix):

@@ -16,7 +16,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.markov import two_state_matrix
+from repro.core import max_log_ratio_batch, max_log_ratio_stacked
+from repro.markov import two_state_matrix, uniform_matrix
 from repro.obs import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -274,6 +275,35 @@ def test_solver_metrics_hook_install_and_restore():
     finally:
         install_solver_metrics(previous)
     assert solver_metrics() is None
+
+
+def test_solver_distinct_counts_swept_entries():
+    """``solves`` counts the alphas a stacked call was asked for,
+    ``distinct`` the entries it swept: each job's repeats once, and no
+    zero alpha or matrix without a Corollary-2 candidate (both give 0.0
+    unswept).  One increment of each per call."""
+    strong, weak = two_state_matrix(0.8, 0.1), two_state_matrix(0.6, 0.3)
+    jobs = [
+        (strong, [0.3, 0.3, 0.0, 1.0]),  # swept: 0.3, 1.0
+        (weak, [0.3, 1.0, 1.0]),  # swept: 0.3, 1.0 (another job)
+        (uniform_matrix(2), [0.5, 0.5]),  # no candidate: none
+        (strong, []),
+    ]
+    registry = MetricsRegistry()
+    previous = install_solver_metrics(registry)
+    try:
+        max_log_ratio_stacked(jobs)
+        snap = registry.snapshot()
+        assert snap["solver.algorithm1.solves"] == 9
+        assert snap["solver.algorithm1.distinct"] == 4
+        assert snap["solver.algorithm1.seconds"]["count"] == 1
+        max_log_ratio_batch(strong, [0.2, 0.2, 0.2])
+        snap = registry.snapshot()
+    finally:
+        install_solver_metrics(previous)
+    assert snap["solver.algorithm1.solves"] == 12
+    assert snap["solver.algorithm1.distinct"] == 5
+    assert snap["solver.algorithm1.seconds"]["count"] == 2
 
 
 # ---------------------------------------------------------------------------

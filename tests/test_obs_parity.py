@@ -281,3 +281,25 @@ def test_metrics_do_not_change_an_early_exit_stream():
     assert depth["count"] == len(stream)
     assert depth["max"] < len(stream)  # later sweeps left before t=0
     assert snapshot["fleet.sweep.memo.hits"] > snapshot["fleet.sweep.memo.misses"]
+
+
+def test_metrics_do_not_change_a_stream_with_repeated_alphas():
+    """Two users on one override schedule share every budget with each
+    other, and every budget after the override step with their group, so
+    their FPL rows repeat and the clamp probes hand the stacked solver
+    jobs that repeat alphas: metrics on and off give the same numbers,
+    and the solver swept fewer entries than it was asked for."""
+    model = random_stochastic_matrix(3, seed=6)
+    population = {u: (model, model) for u in range(N_USERS)}
+    stream = [(0.1, None)] * 3 + [(0.1, {0: 0.05, 1: 0.05})] + [(0.1, None)] * 8
+    plain = run_stream(population, stream, 0.15, "clamp", 3, registry=None)
+    registry = MetricsRegistry()
+    metered = run_stream(population, stream, 0.15, "clamp", 3, registry=registry)
+    assert_events_equal(plain[0], metered[0])
+    assert plain[1] == metered[1]
+    assert_profiles_equal(plain[2], metered[2])
+    assert any(event.status == "clamped" for event in plain[0])
+
+    snapshot = registry.snapshot()
+    solves = snapshot["solver.algorithm1.solves"]
+    assert 0 < snapshot["solver.algorithm1.distinct"] < solves / 2

@@ -71,6 +71,12 @@ class TestAllocatePersonalized:
         with pytest.raises(InvalidPrivacyParameterError):
             allocate_personalized(users, {"strong": 1.0, "weak": 0.0})
 
+    def test_rejects_non_finite_alpha(self, users):
+        with pytest.raises(InvalidPrivacyParameterError, match="'weak'"):
+            allocate_personalized(users, {"strong": 1.0, "weak": float("nan")})
+        with pytest.raises(InvalidPrivacyParameterError, match="finite"):
+            allocate_personalized(users, float("inf"))
+
     def test_rejects_empty_users(self):
         with pytest.raises(ValueError):
             allocate_personalized({}, 1.0)

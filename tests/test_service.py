@@ -109,6 +109,13 @@ class TestSessionConfig:
         with pytest.raises(InvalidPrivacyParameterError):
             SessionConfig(correlations=pair, budgets=0.1, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, pair, alpha):
+        with pytest.raises(InvalidPrivacyParameterError, match="finite"):
+            AlphaPolicy(alpha=alpha)
+        with pytest.raises(InvalidPrivacyParameterError, match="finite"):
+            SessionConfig(correlations=pair, budgets=0.1, alpha=alpha)
+
     def test_rejects_bad_mode(self, pair):
         with pytest.raises(ValueError):
             SessionConfig(correlations=pair, budgets=0.1, alpha_mode="explode")
