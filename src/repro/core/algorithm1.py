@@ -29,14 +29,16 @@ The implementations here are vectorised with numpy:
   Algorithm 1 only through it.  :func:`max_log_ratio_batch` is its
   one-job case.
 
-Every entry point takes alphas that are finite and ``>= 0``, and every
-value the batched kernels return is bit-identical to :func:`max_log_ratio`
-on the same matrix and alpha.
+Every entry point takes alphas in ``[0, log(DBL_MAX)]`` (finite, ``>= 0``
+and with a finite ``e^alpha - 1``), and every value the batched kernels
+return is bit-identical to :func:`max_log_ratio` on the same matrix and
+alpha.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -89,12 +91,19 @@ class PairSolution:
         return (self.q_sum * e + 1.0) / (self.d_sum * e + 1.0)
 
 
+#: The largest alpha whose ``math.expm1`` is finite (709.782712893384);
+#: the next float up overflows, so a stream whose incoming leakage passes
+#: it is refused instead of crashing the solver.
+_ALPHA_MAX = math.log(sys.float_info.max)
+
+
 def _check_alpha(alpha: float) -> None:
-    """The alpha rule of every Algorithm-1 entry point: finite and
-    ``>= 0`` (a NaN would otherwise read as zero leakage)."""
-    if not 0.0 <= alpha < math.inf:
+    """The alpha rule of every Algorithm-1 entry point: finite, ``>= 0``
+    (a NaN would otherwise read as zero leakage) and at most
+    ``_ALPHA_MAX``."""
+    if not 0.0 <= alpha <= _ALPHA_MAX:
         raise InvalidPrivacyParameterError(
-            f"alpha must be finite and >= 0, got {alpha}"
+            f"alpha must be finite, >= 0 and <= {_ALPHA_MAX!r}, got {alpha}"
         )
 
 
@@ -108,7 +117,7 @@ def solve_pair(
     q, d:
         Two rows of a (backward or forward) transition matrix.
     alpha:
-        The previous BPL / next FPL, finite and ``>= 0``.  ``alpha == 0``
+        The previous BPL / next FPL, in ``[0, log(DBL_MAX)]``.  ``alpha == 0``
         returns a zero increment immediately (no prior leakage to
         amplify).
     epsilon_total:
@@ -199,7 +208,7 @@ def _max_log_ratio_impl(
         Transition matrix (backward ``P_B`` for ``L_B``, forward ``P_F``
         for ``L_F``).
     alpha:
-        Previous BPL / next FPL; must be finite and ``>= 0``.
+        Previous BPL / next FPL; must be in ``[0, log(DBL_MAX)]``.
     return_pair:
         When true, also return the :class:`PairSolution` achieving the
         maximum (needed by Theorem 5 and Algorithms 2/3); ``None`` when
@@ -270,7 +279,7 @@ def max_log_ratio_batch(matrix, alphas) -> np.ndarray:
     on ``(A, pairs, n)`` arrays -- the one-job case of
     :func:`max_log_ratio_stacked`, with bit-identical results to the
     scalar path (same subset-selection rule, same tie-breaking, same
-    ``math.expm1``).  ``alphas`` is 1-D, each value finite and ``>= 0``;
+    ``math.expm1``).  ``alphas`` is 1-D, each value in ``[0, log(DBL_MAX)]``;
     the result has the same shape.
 
     A batch of ``A`` alphas counts ``A`` towards
@@ -349,7 +358,7 @@ def max_log_ratio_stacked(jobs) -> list:
     ----------
     jobs:
         Sequence of ``(matrix, alphas)`` pairs; ``alphas`` 1-D, each
-        value finite and ``>= 0``.
+        value in ``[0, log(DBL_MAX)]``.
 
     Returns
     -------
@@ -396,8 +405,10 @@ def _max_log_ratio_stacked_impl(jobs) -> Tuple[list, int]:
         return [], 0
     flat = np.concatenate(pieces)  # job-major
     # One validation pass for every job; min and max propagate NaN.
-    if flat.size and not (flat.min() >= 0.0 and flat.max() < math.inf):
-        raise InvalidPrivacyParameterError("all alphas must be finite and >= 0")
+    if flat.size and not (flat.min() >= 0.0 and flat.max() <= _ALPHA_MAX):
+        raise InvalidPrivacyParameterError(
+            f"all alphas must be finite, >= 0 and <= {_ALPHA_MAX!r}"
+        )
     if n_ref == 1 or not flat.size:
         return _split(np.zeros(flat.size), pieces), 0
 

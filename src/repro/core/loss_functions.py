@@ -89,7 +89,7 @@ class TemporalLossFunction:
 
     def _solve(self, alpha: float) -> Tuple[float, Optional[PairSolution]]:
         # No memo or cache ever holds an alpha max_log_ratio refused, so
-        # its check (finite and >= 0) covers every path.
+        # its check (in [0, log(DBL_MAX)]) covers every path.
         #
         # The memo key is the *exact* float.  Rounding it (the historical
         # key was round(alpha, 15)) conflates distinct alphas that agree
@@ -118,7 +118,7 @@ class TemporalLossFunction:
     def __call__(self, alpha: float) -> float:
         """Evaluate ``L(alpha)`` -- the leakage increment of Eq. (23)/(24).
         Raises :class:`~repro.exceptions.InvalidPrivacyParameterError`
-        unless ``alpha`` is finite and ``>= 0``."""
+        unless ``alpha`` is in ``[0, log(DBL_MAX)]``."""
         return self._solve(alpha)[0]
 
     def maximizing_pair(self, alpha: float) -> Optional[PairSolution]:
@@ -160,16 +160,17 @@ class TemporalLossFunction:
         release.  Returns the leakage after each of the ``steps`` releases.
 
         This is the raw recursion of Eq. (13)/(15) under a constant
-        per-time-point budget, used directly by Figures 4 and 6.
+        per-time-point budget, used directly by Figures 4 and 6.  Both
+        ``epsilon`` and ``initial`` must be finite and ``>= 0``: a NaN
+        or negative start would otherwise read as no prior leakage.
         """
-        if epsilon < 0:
-            raise InvalidPrivacyParameterError(
-                f"epsilon must be >= 0, got {epsilon}"
-            )
+        from .budget import validate_epsilon  # budget imports this module
+
+        epsilon = validate_epsilon(epsilon)
+        alpha = validate_epsilon(initial, name="initial leakage")
         if steps < 0:
             raise ValueError("steps must be >= 0")
         leakages = []
-        alpha = float(initial)
         for _ in range(steps):
             alpha = self(alpha) + epsilon if alpha > 0 else epsilon
             leakages.append(alpha)

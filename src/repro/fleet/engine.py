@@ -251,9 +251,14 @@ class FleetAccountant:
         # Loss functions by matrix digest; id 0 is "no correlation" (L = 0).
         self._loss_ids: Dict[Optional[str], int] = {None: 0}
         self._losses: List[Optional[TemporalLossFunction]] = [None]
-        # Worst TPL of the last sweep over the whole table; None once a
-        # mutation has made it (and the table's FPL) stale.
+        # Worst TPL over the whole table, None once a mutation has made
+        # it stale; _fresh while the table's FPL is the last sweep's at
+        # this horizon.  A rollback can restore the worst, not the FPL.
         self._worst: Optional[float] = None
+        self._fresh = False
+        # (horizon, worst) the last add_release / add_window started
+        # from: _truncate_to restores the worst when it returns there.
+        self._kept: Optional[Tuple[int, float]] = None
         # The last window sweep's loss values (see _WindowMemo).
         self._memo: dict = {}
         for user, pair in self._normalise(correlations).items():
@@ -282,6 +287,7 @@ class FleetAccountant:
         state, owner = self._locate(user)
         self._index.remove(user)
         del self._user_start[user]
+        self._kept = None
         del owner.members[user]
         if not owner.members:
             if state.overrides.pop(user, None) is None:
@@ -313,6 +319,7 @@ class FleetAccountant:
         or recomputed under the cohort's ``P_B``)."""
         state = self._state_of(self._index.add(user, correlations))
         self._user_start[user] = start
+        self._kept = None
         if epsilons is not None:
             state.overrides[user] = self._new_row(
                 state, start, {user: None}, epsilons, bpl
@@ -360,7 +367,7 @@ class FleetAccountant:
         its bound is its join time: before it the row is all zeros."""
         owner = _Group(start, members)
         self._table.add(owner, (start, state.loss_b, state.loss_f, start))
-        self._worst = None
+        self._worst, self._fresh = None, False
         epsilons = np.asarray(epsilons, dtype=float)
         if epsilons.size:
             if bpl is None:
@@ -372,7 +379,7 @@ class FleetAccountant:
 
     def _drop_row(self, owner: _Group) -> None:
         self._table.drop(owner.row)
-        self._worst = None
+        self._worst, self._fresh = None, False
 
     def _series(self, owner: _Group) -> np.ndarray:
         """The ``(3, horizon - start)`` eps / BPL / FPL block of
@@ -427,6 +434,8 @@ class FleetAccountant:
         bound would be violated."""
         epsilon = validate_epsilon(epsilon)
         overrides = dict(overrides) if overrides else {}
+        # Before _ensure_override forgets the worst: it is neutral.
+        self._kept = None if self._worst is None else (self.horizon, self._worst)
         for user, eps_u in overrides.items():
             if user not in self._user_start:
                 raise KeyError(f"override for unknown user {user!r}")
@@ -504,6 +513,7 @@ class FleetAccountant:
         # step is one fused evaluation over every row -- identical
         # operations, in identical order, to K add_release calls.
         start = self.horizon
+        self._kept = None if self._worst is None else (start, self._worst)
         try:
             for epsilon, step_overrides in zip(epsilons, per_step):
                 for user in step_overrides:
@@ -555,7 +565,7 @@ class FleetAccountant:
         invariant the parity suites pin), and the sums are the same
         scalar adds.
         """
-        self._worst = None
+        self._worst, self._fresh = None, False
         table = self._table
         t = len(self._epsilons) - 1
         table.reserve(0, t + 1)
@@ -587,11 +597,18 @@ class FleetAccountant:
         by :meth:`_ensure_override` are left in place: a row carrying the
         default schedule is numerically identical to group membership
         (the parity suite pins the two paths bit-identical).
+
+        Returning to the horizon the last mutation started from restores
+        that state's worst TPL, so :meth:`max_tpl` after a refused step
+        is a read; the table's FPL stays the refused stream's, so
+        :meth:`profile` still sweeps.
         """
         del self._epsilons[horizon:]
         bounds = self._table.keys[3, : self._table.rows]
         np.minimum(bounds, horizon + 1, out=bounds)
-        self._worst = None
+        kept = self._kept
+        self._worst = kept[1] if kept is not None and kept[0] == horizon else None
+        self._fresh = False
 
     def rollback_last(self) -> None:
         """Undo the most recent release, restoring the exact prior state
@@ -838,7 +855,7 @@ class FleetAccountant:
             for ids, lo, hi, fpl in flushed:
                 table.series[2, ids, lo:hi] = fpl
             table.keys[3, rows] = horizon
-            self._worst = float(worsts[-1])
+            self._worst, self._fresh = float(worsts[-1]), True
         if memo is not None:
             self._memo = memo.current
         registry = self._registry
@@ -1042,14 +1059,16 @@ class FleetAccountant:
         _, owner = self._locate(self._resolve(user))
         if owner.start >= self.horizon:
             return LeakageProfile.empty()
-        self.max_tpl()  # brings the table's FPL up to date
+        if not self._fresh:  # a known worst does not mean fresh FPL
+            self._sweep(np.arange(self._table.rows), 1, query=True)
         eps, bpl, fpl = self._series(owner).copy()
         return LeakageProfile(epsilons=eps, bpl=bpl, fpl=fpl)
 
     def max_tpl(self) -> float:
         """Worst TPL over all users and time points (Eq. (3)) -- computed
         per table row, not per user, by the last sweep or, after a
-        mutation, by a query sweep."""
+        mutation, by a query sweep; a rollback to where the last release
+        or window started restores it (:meth:`_truncate_to`)."""
         if self._worst is None:
             self._sweep(np.arange(self._table.rows), 1, query=True)
         return self._worst  # type: ignore[return-value]

@@ -70,9 +70,13 @@ _ALPHA_TOL = 1e-12
 #: Bisection levels the batched clamp evaluates per ``probe_scales``
 #: backend entry -- one dyadic subtree of at most ``2**k - 1`` candidate
 #: scales per entry.  4 levels turn the ~20 round-trips of the default
-#: ``clamp_resolution=1e-6`` into 5 of 15 candidates each; deeper trees
-#: save round-trips but the speculative candidate count doubles per
+#: ``clamp_resolution=1e-6`` into at most 5 of 15 candidates each; deeper
+#: trees save round-trips but the speculative candidate count doubles per
 #: level (measured: depth 4 beats 3 and 5 on the in-process backends).
+#: The first entry adds the rest of the all-left path (16 scales at the
+#: default resolution, 31 in all), so a refused step costs one entry, and
+#: a clamped one never more than 5 (fewer when its fit lies deep down the
+#: left edge).
 _PROBE_LEVELS = 4
 
 
@@ -614,10 +618,17 @@ class ReleaseSession:
         enumerated with the bisection arithmetic (``mid = 0.5 * (lo +
         hi)``, gated on ``hi - lo > clamp_resolution``), evaluated in
         **one** read-only ``probe_scales`` backend entry, and the
-        bisection then walks the precomputed answers locally.  The
+        bisection then walks the precomputed answers locally for as long
+        as it holds the answer for its next midpoint.  The first round
+        (root ``0.5`` first) also carries the rest of the all-left path
+        down to the resolution, so a step refused at the cap -- the
+        steady state of a stream at its alpha cap, since TPL never falls
+        -- is decided in one backend entry, and a fit far down the left
+        edge needs fewer rounds (never more).  Each answer is the
+        worst TPL of one scale, whatever else shares its round, so the
         chosen scale is bit-identical to a one-probe-per-midpoint
         bisection (parity-pinned), with its ~20 backend round-trips
-        collapsed into ~5.  ``scale == 0`` is always feasible: a
+        collapsed into 1 to 5.  ``scale == 0`` is always feasible: a
         zero-budget release can never raise TPL (``L(alpha) <= alpha``),
         so the invariant maintained by reject/clamp modes keeps the
         bracket valid.
@@ -639,14 +650,24 @@ class ReleaseSession:
                 collect(mid, hi_, depth - 1)
 
             collect(lo, hi, _PROBE_LEVELS)
+            if lo == 0.0:
+                # The first round (no later one starts at 0) also carries
+                # the rest of the all-left path, which a refused step
+                # walks to its end.
+                edge, path = hi, []
+                while edge - lo > resolution:
+                    edge = 0.5 * (lo + edge)
+                    path.append(edge)
+                mids.extend(path[_PROBE_LEVELS:])
             worsts = self._backend.probe_scales(requested, overrides, mids)
             self._registry.counter("session.alpha.probes").inc(len(mids))
             answers = dict(zip(mids, (float(w) for w in worsts)))
-            for _ in range(_PROBE_LEVELS):
-                if not hi - lo > resolution:
-                    break
+            while hi - lo > resolution:
                 mid = 0.5 * (lo + hi)
-                if answers[mid] <= alpha + _ALPHA_TOL:
+                worst = answers.get(mid)
+                if worst is None:
+                    break
+                if worst <= alpha + _ALPHA_TOL:
                     lo = mid
                 else:
                     hi = mid

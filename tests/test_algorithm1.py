@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import (
     LfpProblem,
     TemporalLossFunction,
+    TemporalPrivacyAccountant,
     max_log_ratio,
     max_log_ratio_batch,
     max_log_ratio_stacked,
@@ -18,6 +19,7 @@ from repro.core import (
 )
 from repro.core import algorithm1 as algorithm1_module
 from repro.exceptions import InvalidPrivacyParameterError
+from repro.fleet import FleetAccountant
 from repro.lp import solve_lfp_bruteforce
 from repro.markov import (
     identity_matrix,
@@ -28,8 +30,19 @@ from repro.markov import (
 
 from strategies import alphas, transition_matrices
 
-#: Alphas every Algorithm-1 entry point refuses.
-BAD_ALPHAS = [math.nan, math.inf, -math.inf, -0.5]
+#: The largest alpha every Algorithm-1 entry point accepts: log(DBL_MAX),
+#: the largest alpha whose math.expm1 is finite.
+LARGEST_ALPHA = 709.782712893384
+
+#: Alphas every Algorithm-1 entry point refuses, the first float above
+#: LARGEST_ALPHA among them (its math.expm1 overflows).
+BAD_ALPHAS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.5,
+    math.nextafter(LARGEST_ALPHA, math.inf),
+]
 
 #: Edge alphas: signed zeros (e == +-0, value 0.0), the smallest subnormal
 #: (e > 0, swept) and large values (e up to ~1e304).
@@ -214,7 +227,8 @@ class TestMaxLogRatioBatched:
     @pytest.mark.parametrize("alpha", BAD_ALPHAS)
     def test_every_entry_point_refuses_bad_alphas(self, alpha):
         """A NaN must not read as zero leakage, nor an infinity as NaN,
-        on any entry point."""
+        nor an alpha past log(DBL_MAX) as a bare OverflowError, on any
+        entry point."""
         m = two_state_matrix(0.8, 0.1)
         with pytest.raises(InvalidPrivacyParameterError):
             max_log_ratio(m, alpha)
@@ -226,6 +240,44 @@ class TestMaxLogRatioBatched:
             max_log_ratio_batch(m, [0.3, alpha])
         with pytest.raises(InvalidPrivacyParameterError):
             max_log_ratio_stacked([(m, [0.3]), (m, [alpha])])
+
+    @pytest.mark.parametrize("strongest", [False, True])
+    def test_every_entry_point_accepts_the_largest_alpha(self, strongest):
+        """log(DBL_MAX) itself is solved, bit-identically on every entry
+        point (the strongest correlation gives back alpha itself)."""
+        m = two_state_matrix(1.0, 0.0) if strongest else two_state_matrix(0.8, 0.1)
+        expected = max_log_ratio(m, LARGEST_ALPHA)
+        assert math.isfinite(expected)
+        assert TemporalLossFunction(m)(LARGEST_ALPHA) == expected
+        assert max_log_ratio_batch(m, [0.3, LARGEST_ALPHA])[1] == expected
+        stacked = max_log_ratio_stacked([(m, [0.3]), (m, [LARGEST_ALPHA])])
+        assert stacked[1][0] == expected
+        pair = solve_pair(m.array[0], m.array[1], LARGEST_ALPHA)
+        assert math.isfinite(pair.log_value)
+        if strongest:
+            assert expected == LARGEST_ALPHA
+
+    @pytest.mark.parametrize(
+        "accountant_cls", [TemporalPrivacyAccountant, FleetAccountant]
+    )
+    @pytest.mark.parametrize("budgets", [[50.0] * 16, [709.0, 0.5, 0.5, 0.5]])
+    def test_accountants_refuse_a_leakage_past_the_largest_alpha(
+        self, accountant_cls, budgets
+    ):
+        """Under the strongest correlation BPL is the plain sum of the
+        budgets, so the last release here asks Algorithm 1 for
+        ``L(alpha)`` past log(DBL_MAX).  It is refused with an
+        InvalidPrivacyParameterError, not a bare OverflowError, and the
+        accountant keeps its horizon and worst TPL."""
+        P = two_state_matrix(1.0, 0.0)
+        accountant = accountant_cls((P, P))
+        for epsilon in budgets[:-1]:
+            accountant.add_release(epsilon)
+        horizon, worst = accountant.horizon, accountant.max_tpl()
+        with pytest.raises(InvalidPrivacyParameterError):
+            accountant.add_release(budgets[-1])
+        assert accountant.horizon == horizon == len(budgets) - 1
+        assert accountant.max_tpl() == worst
 
     @given(transition_matrices(), st.lists(alphas(), min_size=1, max_size=6))
     def test_batch_is_chunk_invariant(self, m, values):

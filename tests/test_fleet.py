@@ -1011,6 +1011,116 @@ class TestSweepExit:
 
 
 # ---------------------------------------------------------------------------
+# The kept worst: max_tpl() after a refused step is a read
+# ---------------------------------------------------------------------------
+def _query_sweeps(registry) -> int:
+    return registry.snapshot().get('fleet.sweep.depth{kind="query"}', {}).get(
+        "count", 0
+    )
+
+
+class TestKeptWorst:
+    """A rollback to exactly where the last window started restores that
+    state's worst TPL, so :meth:`FleetAccountant.max_tpl` after a refused
+    step runs no query sweep.  The table's FPL is then the refused
+    stream's, so :meth:`FleetAccountant.profile` still sweeps; any
+    membership change in between, or a rollback to anywhere else, makes
+    the next query sweep."""
+
+    PRELUDE = [0.3, 0.1, 0.25]
+    WINDOW = [0.2, 0.4]
+
+    def build(self):
+        """Six users over every churn pair; user 2 carries the worst."""
+        pair_of = {u: u % len(CHURN_PAIRS) for u in range(6)}
+        spent = {u: list(self.PRELUDE) for u in pair_of}
+        spent[1][1], spent[2][2] = 0.05, 0.6
+        registry = MetricsRegistry()
+        fleet = FleetAccountant(
+            {u: CHURN_PAIRS[p] for u, p in pair_of.items()}, registry=registry
+        )
+        fleet.add_window(self.PRELUDE, [None, {1: 0.05}, {2: 0.6}])
+        return fleet, registry, pair_of, spent
+
+    @staticmethod
+    def assert_matches_core(fleet, pair_of, spent):
+        assert fleet.max_tpl() == _core_worst(pair_of, spent)
+        for user, eps in spent.items():
+            reference = _core_profile(pair_of[user], tuple(eps))
+            profile = fleet.profile(user)
+            for name in ("epsilons", "bpl", "fpl", "tpl"):
+                assert np.array_equal(
+                    getattr(profile, name), getattr(reference, name)
+                ), (user, name)
+
+    @pytest.mark.parametrize("overrides", [None, [{3: 0.05}, None]])
+    def test_rollback_to_the_window_start_is_a_read(self, overrides):
+        """The override splits user 3 off its group inside the window;
+        the worst is kept before that, and the split is neutral."""
+        fleet, registry, pair_of, spent = self.build()
+        before = fleet.max_tpl()
+        fleet.add_window(self.WINDOW, overrides)
+        fleet.rollback(len(self.WINDOW))
+        queries = _query_sweeps(registry)
+        assert fleet.max_tpl() == before
+        assert _query_sweeps(registry) == queries
+        # The held FPL is the rolled-back stream's: profile() sweeps once.
+        self.assert_matches_core(fleet, pair_of, spent)
+        assert _query_sweeps(registry) == queries + 1
+
+    def test_refused_release_and_window_are_reads(self):
+        """The engine's own alpha refusals roll back to where they
+        started: the worst is the pre-release one, with no sweep."""
+        fleet, registry, pair_of, spent = self.build()
+        fleet._alpha = fleet.max_tpl() + 0.01
+        before = fleet.max_tpl()
+        queries = _query_sweeps(registry)
+        with pytest.raises(InvalidPrivacyParameterError):
+            fleet.add_window(self.WINDOW)
+        assert fleet.max_tpl() == before
+        with pytest.raises(InvalidPrivacyParameterError):
+            fleet.add_release(0.4, {3: 0.5})
+        assert fleet.max_tpl() == before
+        # add_release measures its release with a query sweep; the
+        # rollback after it adds none.
+        assert _query_sweeps(registry) == queries + 1
+        self.assert_matches_core(fleet, pair_of, spent)
+
+    @pytest.mark.parametrize("change", ["join-and-leave", "remove", "migrate"])
+    def test_membership_change_forgets_the_kept_worst(self, change):
+        """Removing or migrating user 2 lowers the worst at the window's
+        start, so restoring the kept one would read high."""
+        fleet, registry, pair_of, spent = self.build()
+        kept = fleet.max_tpl()
+        fleet.add_window(self.WINDOW)
+        if change == "join-and-leave":
+            fleet.add_user("new", CHURN_PAIRS[0])
+            fleet.remove_user("new")
+        elif change == "remove":
+            fleet.remove_user(2)
+            del pair_of[2], spent[2]
+        else:
+            pair_of[2] = 4
+            fleet.migrate_user(2, CHURN_PAIRS[4])
+        if change != "join-and-leave":
+            assert _core_worst(pair_of, spent) < kept
+        fleet.rollback(len(self.WINDOW))
+        queries = _query_sweeps(registry)
+        self.assert_matches_core(fleet, pair_of, spent)
+        assert _query_sweeps(registry) == queries + 1
+
+    def test_partial_rollback_sweeps(self):
+        fleet, registry, pair_of, spent = self.build()
+        fleet.add_window(self.WINDOW + [0.1])
+        fleet.rollback(1)
+        for user, eps in spent.items():
+            eps.extend(self.WINDOW)
+        queries = _query_sweeps(registry)
+        self.assert_matches_core(fleet, pair_of, spent)
+        assert _query_sweeps(registry) == queries + 1
+
+
+# ---------------------------------------------------------------------------
 # Solution cache
 # ---------------------------------------------------------------------------
 class TestSolutionCache:

@@ -141,6 +141,27 @@ class TestIterate:
         with pytest.raises(InvalidPrivacyParameterError):
             TemporalLossFunction(moderate_matrix).iterate(-0.1, 3)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_iterate_rejects_a_non_finite_epsilon(self, epsilon):
+        """``iterate(nan, 2)`` used to return ``[nan, nan]`` and
+        ``iterate(inf, 1)`` ``[inf]``."""
+        with pytest.raises(InvalidPrivacyParameterError, match="epsilon"):
+            TemporalLossFunction(two_state_matrix(0.8, 0.1)).iterate(epsilon, 2)
+
+    @pytest.mark.parametrize("initial", [math.nan, -1.0, math.inf])
+    def test_iterate_rejects_a_bad_initial_leakage(self, initial):
+        """A NaN or negative start used to read as no prior leakage (the
+        ``initial=0.0`` series)."""
+        loss = TemporalLossFunction(two_state_matrix(0.8, 0.1))
+        with pytest.raises(InvalidPrivacyParameterError, match="initial"):
+            loss.iterate(0.1, 2, initial=initial)
+
+    def test_iterate_accepts_a_zero_initial_leakage(self):
+        loss = TemporalLossFunction(two_state_matrix(0.8, 0.1))
+        series = loss.iterate(0.1, 2, initial=0.0)
+        assert series == loss.iterate(0.1, 2)
+        assert series[0] == 0.1 and series[1] == loss(0.1) + 0.1
+
     def test_iterate_with_initial_leakage(self, moderate_matrix):
         loss = TemporalLossFunction(moderate_matrix)
         cold = loss.iterate(0.1, 3)

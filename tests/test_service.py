@@ -414,10 +414,57 @@ class TestAlphaPolicies:
         event = session.ingest()
         assert event.status == REJECTED
         assert "no positive fraction" in event.message
-        assert backend.calls[:2] == ["add_window", "rollback"]
-        assert len(backend.calls) > 2
-        assert set(backend.calls[2:]) == {"probe_scales"}
+        assert backend.calls == ["add_window", "rollback", "probe_scales"]
         assert session.horizon == 3
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_refused_step_costs_one_probe_round(self, shards):
+        """At the default resolution a decision's first probe round is
+        the 4-level subtree plus the rest of the all-left path -- 31
+        scales, root 0.5 first -- so a step refused at the cap makes
+        exactly one ``probe_scales`` call, and a clamped step at most 5
+        (on the fleet backend and on two pipe shards)."""
+        m = two_state_matrix(0.8, 0.1)
+        correlations = {u: (m, m) for u in range(4)}
+        correlations[4] = (None, None)
+        session = ReleaseSession(
+            SessionConfig(
+                correlations=correlations,
+                budgets=0.5,
+                alpha=0.45,
+                alpha_mode="clamp",
+                backend="fleet",
+                shards=shards,
+                seed=0,
+            )
+        )
+        assert session.backend_name == ("fleet", "sharded")[shards - 1]
+        calls = []
+        probe = session.backend.probe_scales
+
+        def recorded(epsilon, overrides, scales):
+            calls.append(list(scales))
+            return probe(epsilon, overrides, scales)
+
+        session.backend.probe_scales = recorded
+        try:
+            assert session.ingest(epsilon=0.43).status == RELEASED
+            assert calls == []
+            event = session.ingest()
+            assert event.status == CLAMPED
+            assert event.epsilon < 0.5 / 16  # walks past the first subtree
+            assert 1 <= len(calls) <= 5
+            assert calls[0][0] == 0.5 and len(calls[0]) == 31
+            for overrides in (None, {1: 0.9}, None):
+                calls.clear()
+                event = session.ingest(overrides=overrides)
+                assert event.status == REJECTED
+                assert "no positive fraction" in event.message
+                assert len(calls) == 1
+                assert calls[0][0] == 0.5 and len(calls[0]) == 31
+            assert session.horizon == 2
+        finally:
+            session.close()
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from strategies import transition_matrices
 
 from repro.data import HistogramQuery
+from repro.markov import two_state_matrix
 from repro.service import (
     ReleaseSession,
     ReleaseWindow,
@@ -112,7 +113,16 @@ def serial_clamp_scale(session):
     return clamp_scale
 
 
-def run_stream(backend, population, stream, alpha, mode, seed, serial_clamp=False):
+def run_stream(
+    backend,
+    population,
+    stream,
+    alpha,
+    mode,
+    seed,
+    serial_clamp=False,
+    resolution=1e-6,
+):
     session = ReleaseSession(
         SessionConfig(
             correlations=population,
@@ -122,6 +132,7 @@ def run_stream(backend, population, stream, alpha, mode, seed, serial_clamp=Fals
             alpha_mode=mode,
             backend=backend,
             seed=seed,
+            clamp_resolution=resolution,
         )
     )
     if serial_clamp:
@@ -178,6 +189,35 @@ def test_backends_bit_identical(population, stream, policy, seed):
         assert np.array_equal(pa.tpl, pb.tpl)
 
 
+#: A stream that takes the clamp's walk everywhere its first round
+#: reaches (see test_reach_stream_walks_every_reach): at REACH_ALPHA the
+#: second step fits at a scale below 1/16, so the walk leaves the
+#: all-left path after the first round's subtree, and every later step is
+#: refused (scale 0) at the default resolution.
+_M = two_state_matrix(0.8, 0.1)
+REACH_POPULATION = {u: (_M, _M) for u in range(N_USERS - 1)}
+REACH_POPULATION[N_USERS - 1] = (None, None)
+REACH_STREAM = [(0.43, None), (0.5, None), (0.5, {1: 0.9}), (0.5, None)]
+REACH_ALPHA = 0.45
+
+#: The default clamp resolution and two coarser ones: 1e-3 cuts the
+#: all-left path short, 0.3 leaves a first round of 3 scales.
+RESOLUTIONS = [1e-6, 1e-3, 0.3]
+
+
+def reach_examples(test):
+    """The REACH stream as an explicit example at every resolution."""
+    for resolution in RESOLUTIONS:
+        test = example(
+            population=REACH_POPULATION,
+            stream=REACH_STREAM,
+            alpha=REACH_ALPHA,
+            seed=0,
+            resolution=resolution,
+        )(test)
+    return test
+
+
 @settings(
     max_examples=15,
     deadline=None,
@@ -188,19 +228,30 @@ def test_backends_bit_identical(population, stream, policy, seed):
     stream=streams(),
     alpha=st.floats(0.05, 0.6, allow_nan=False),
     seed=st.integers(0, 2**16),
+    resolution=st.sampled_from(RESOLUTIONS),
 )
+@reach_examples
 @pytest.mark.parametrize("backend", ["scalar", "fleet"])
 def test_batched_clamp_bit_identical_to_serial(
-    backend, population, stream, alpha, seed
+    backend, population, stream, alpha, seed, resolution
 ):
     """The dyadic-tree ``probe_scales`` bisection must pick the exact
     scale the one-probe-per-round-trip loop picks: every event payload
-    (noise stream included) and leakage series bit-identical."""
+    (noise stream included) and leakage series bit-identical -- on
+    refused steps, on fits the first round's all-left path walks past its
+    subtree to reach, and at coarse resolutions."""
     batched, batched_events = run_stream(
-        backend, population, stream, alpha, "clamp", seed
+        backend, population, stream, alpha, "clamp", seed, resolution=resolution
     )
     serial, serial_events = run_stream(
-        backend, population, stream, alpha, "clamp", seed, serial_clamp=True
+        backend,
+        population,
+        stream,
+        alpha,
+        "clamp",
+        seed,
+        serial_clamp=True,
+        resolution=resolution,
     )
     for a, b in zip(batched_events, serial_events):
         assert a.payload(include_true_answer=True) == b.payload(
@@ -214,6 +265,28 @@ def test_batched_clamp_bit_identical_to_serial(
         assert np.array_equal(pa.bpl, pb.bpl)
         assert np.array_equal(pa.fpl, pb.fpl)
         assert np.array_equal(pa.tpl, pb.tpl)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_reach_stream_walks_every_reach(resolution):
+    """The explicit examples above are not vacuous: the stream has
+    refused steps at every resolution and, at the finer two, a fit below
+    1/16 whose walk leaves the all-left path after the first subtree."""
+    _, events = run_stream(
+        "fleet",
+        REACH_POPULATION,
+        REACH_STREAM,
+        REACH_ALPHA,
+        "clamp",
+        0,
+        resolution=resolution,
+    )
+    statuses = [event.status for event in events]
+    assert "rejected" in statuses[1:]
+    if resolution < 2**-5:
+        fit = events[1].epsilon / events[1].requested_epsilon
+        assert events[1].status == "clamped"
+        assert 2**-5 < fit < 2**-4
 
 
 def run_stream_windowed(backend, population, stream, alpha, mode, seed, size):

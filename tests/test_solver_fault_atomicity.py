@@ -23,6 +23,7 @@ from repro.core.loss_functions import TemporalLossFunction
 from repro.exceptions import SolverError
 from repro.fleet.engine import FleetAccountant
 from repro.markov import two_state_matrix
+from repro.obs import MetricsRegistry
 from repro.service import (
     FleetAccountantBackend,
     ReleaseWindow,
@@ -197,6 +198,35 @@ def test_fleet_window_fault_keeps_held_fpl_bounds_and_memo():
             with pytest.raises(SolverError):
                 fleet.add_window(WINDOW)
         assert internals(fleet) == before, f"fault at {fail_at}/{total}"
+
+
+def test_fleet_window_fault_restores_the_pre_window_worst():
+    """A fault anywhere in a window unwinds to where the window started,
+    which restores the pre-window worst TPL: max_tpl() equals it bit for
+    bit without a query sweep."""
+
+    def build():
+        fleet = FleetAccountant(POPULATION, registry=MetricsRegistry())
+        for eps in PRELUDE:
+            fleet.add_release(eps)
+        return fleet
+
+    def query_sweeps(fleet):
+        depth = fleet._registry.snapshot().get(
+            'fleet.sweep.depth{kind="query"}', {}
+        )
+        return depth.get("count", 0)
+
+    total = _count_evaluations(build, lambda f: f.add_window(WINDOW))
+    for fail_at in range(1, total + 1):
+        fleet = build()
+        before, queries = fleet.max_tpl(), query_sweeps(fleet)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _inject_fault(monkeypatch, fail_at)
+            with pytest.raises(SolverError):
+                fleet.add_window(WINDOW)
+        assert fleet.max_tpl() == before, f"fault at {fail_at}/{total}"
+        assert query_sweeps(fleet) == queries
 
 
 @pytest.mark.parametrize(
