@@ -3,9 +3,9 @@
 Three implementation decisions in the quantification core have measurable
 cost/benefit trade-offs; these benchmarks quantify each:
 
-1. **Batched vs per-pair Algorithm 1** -- `max_log_ratio` runs all
-   n (n-1) ordered row pairs as one vectorised deletion loop instead of a
-   Python loop over `solve_pair`.
+1. **Batched vs per-pair Algorithm 1** -- `max_log_ratio` solves all
+   n (n-1) ordered row pairs in one vectorised best-prefix kernel entry
+   instead of a Python loop over `solve_pair`.
 2. **Loss-function memoisation** -- `TemporalLossFunction` caches
    L(alpha) per alpha; the BPL/FPL recursions with constant budgets hit
    the cache heavily (every step after the first two queries a warm

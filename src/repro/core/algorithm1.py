@@ -1,47 +1,49 @@
 """Algorithm 1 of the paper: polynomial-time privacy-leakage quantification.
 
-Theorem 4 shows the optimum of the linear-fractional program (18)-(20) is::
+For one ordered row pair ``(q, d)``, Theorem 4 puts the optimum of the
+linear-fractional program (18)-(20) at::
 
-    ( q (e^alpha - 1) + 1 ) / ( d (e^alpha - 1) + 1 )
+    ( Q (e^alpha - 1) + a ) / ( D (e^alpha - 1) + b )
 
-where ``q = sum(q+)`` and ``d = sum(d+)`` over the unique coefficient
-subset satisfying Inequalities (21)/(22).  Corollary 2 gives the necessary
-condition ``q_j > d_j`` for membership, and Algorithm 1 finds the subset by
-repeated deletion:
+with ``a = sum(q)``, ``b = sum(d)`` (1 for the rows of a transition
+matrix) and ``Q``, ``D`` the sums of ``q`` and ``d`` over ``{j : q_j /
+d_j > rho*}``, ``rho*`` the optimal value.  In descending ``q_j / d_j``
+that subset is a prefix of the Corollary-2 candidates ``q_j b > d_j a``.
+The paper's Algorithm 1 finds it by repeated deletion; the proof of
+Theorem 4 is Dinkelbach's parametric argument, by which it is also the
+prefix with the largest objective.  One loop-free kernel computes that
+prefix directly.  Once per matrix and call it sorts each pair's
+candidates by ``d_j / q_j`` and takes prefix sums of ``q`` and ``d``
+(:func:`_prefix_tables`).  Then, for each ``(matrix, alpha)`` entry, it
+picks the prefix, the empty one included, with the largest objective,
+widens it to the candidates whose key ties its last one (as the loop's
+``>=`` keeps ties), re-sums ``q`` and ``d`` over that subset in index
+order and returns ``log(Q e + a) - log(D e + b)`` (:func:`_best_prefix`).
 
-1. Start with all pairs ``(q_j, d_j)`` where ``q_j > d_j``.
-2. Compute the candidate objective ``rho = (q (e^a - 1) + 1) / (d (e^a - 1)
-   + 1)``; delete every pair with ``q_j / d_j <= rho`` (the paper proves
-   deletions can be batched); repeat until stable.
+In exact arithmetic that is the deletion loop's subset.  In floats the
+loop's product test ties once ``e^alpha - 1`` swamps the ``+ 1`` and
+drops optimal coordinates, under-reporting the leakage at large alpha;
+the kernel compares objective values only, so it is exact at every
+alpha, and wherever the loop kept the right subset the values agree bit
+for bit.  The loop is kept as reference code in the test suite.
 
-Per row pair this runs in O(n^2) worst case; maximising over all ordered
-row pairs of an ``n x n`` matrix gives the O(n^4) bound from the paper.
-The implementations here are vectorised with numpy:
-
-* :func:`solve_pair` -- one ordered coefficient pair (exposed for tests
-  and for the solver benchmarks of Fig. 5).
-* :func:`max_log_ratio` -- the full maximisation over ordered row pairs of
-  a transition matrix, i.e. the temporal loss function ``L_B``/``L_F`` of
-  Eq. (23)/(24), batched over all pairs at once.
-* :func:`max_log_ratio_stacked` -- the same loss for many ``(matrix,
-  alphas)`` jobs in shared sweeps over ``(A, pairs, n)`` arrays, each
-  distinct ``(job, alpha)`` entry solved once per call; the fleet reaches
-  Algorithm 1 only through it.  :func:`max_log_ratio_batch` is its
-  one-job case.
-
-Every entry point takes alphas in ``[0, log(DBL_MAX)]`` (finite, ``>= 0``
-and with a finite ``e^alpha - 1``), and every value the batched kernels
-return is bit-identical to :func:`max_log_ratio` on the same matrix and
-alpha.
+:func:`solve_pair` (one pair), :func:`max_log_ratio` (the loss ``L`` of
+Eq. (23)/(24): the maximum over all ordered row pairs) and
+:func:`max_log_ratio_stacked` (many ``(matrix, alphas)`` jobs, each
+distinct entry solved once; :func:`max_log_ratio_batch` is its one-job
+case) all reach this kernel.  Every entry point takes alphas in ``[0,
+log(DBL_MAX)]``, and the batched ones return the bits of
+:func:`max_log_ratio` on the same matrix and alpha.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,19 +72,16 @@ class PairSolution:
         ``log`` of the optimal objective -- the leakage increment.
     q_sum, d_sum:
         The Theorem-4 sums ``q = sum(q+)`` and ``d = sum(d+)`` of the
-        surviving subset.  These feed Theorem 5 (supremum) and the budget
+        optimal subset.  These feed Theorem 5 (supremum) and the budget
         allocation of Algorithms 2/3.
     subset_mask:
-        Boolean mask of the surviving coordinates (the paper's ``q+``).
-    iterations:
-        Number of deletion sweeps performed.
+        Boolean mask of the optimal subset (the paper's ``q+``).
     """
 
     log_value: float
     q_sum: float
     d_sum: float
     subset_mask: np.ndarray
-    iterations: int
 
     def objective(self, alpha: float) -> float:
         """Re-evaluate Theorem 4's expression at a *different* alpha with
@@ -107,71 +106,162 @@ def _check_alpha(alpha: float) -> None:
         )
 
 
+class _Tables(NamedTuple):
+    """The alpha-free half of the kernel for ``jobs`` rows of ``pairs``
+    coefficient pairs of length ``n`` (see :func:`_prefix_tables`)."""
+
+    #: ``(2, jobs, pairs, n)``: the ``q`` rows, then the ``d`` rows.
+    rows: np.ndarray
+    #: ``(2, jobs, pairs, n + 1)``: sums of ``q``, then of ``d``, over the
+    #: first ``m`` candidates in descending ``q_j / d_j``, ``m = 0..n``.
+    prefix: np.ndarray
+    #: ``(jobs, pairs, n)``: the shortest prefix length whose subset holds
+    #: coordinate ``j``; past the last candidate for a non-candidate.
+    rank: np.ndarray
+    #: ``(2, 1, 1)``: the row sums ``a = sum(q)`` and ``b = sum(d)``.
+    totals: np.ndarray
+
+
+def _prefix_tables(
+    rows: np.ndarray, cand: np.ndarray, a: float = 1.0, b: float = 1.0
+) -> _Tables:
+    """Sort each pair's Corollary-2 candidates ``cand`` (``q_j b > d_j
+    a``) by ``d_j / q_j`` and take the prefix sums of ``q`` and ``d`` in
+    that order; ``rows`` is ``(2, jobs, pairs, n)`` and ``cand`` is
+    ``(jobs, pairs, n)``.
+
+    Non-candidates carry zero weight, so the prefixes past the last
+    candidate repeat its objective and the argmax never picks one."""
+    order, rank = _key_order(rows, cand)
+    prefix = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    weights = (rows * cand).reshape(2, -1)
+    weights.take(order, axis=1, out=prefix[..., 1:], mode="clip")
+    np.add.accumulate(prefix[..., 1:], axis=-1, out=prefix[..., 1:])
+    return _Tables(rows, prefix, rank, np.array([a, b]).reshape(2, 1, 1))
+
+
+def _key_order(rows: np.ndarray, cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The flat positions of each pair's coordinates in ascending key
+    ``d_j / q_j``, and each coordinate's rank: the 1-based position of the
+    first key equal to its own.  A prefix that ends inside a run of
+    equal keys so takes the whole run: in exact arithmetic tied
+    coordinates leave the objective unchanged, and the deletion loop
+    keeps them together.
+
+    Non-candidates get NaN keys, which sort last and equal nothing, so
+    each ranks at its own position past the last candidate."""
+    key = np.where(cand, rows[1], np.nan)
+    key /= rows[0]
+    order = key.argsort(axis=-1)
+    order += _row_starts(order.shape)
+    ordered = key.take(order)
+    first = np.ones(order.shape, dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=first[..., 1:])
+    runs = first * np.arange(1, order.shape[-1] + 1, dtype=np.int32)
+    np.maximum.accumulate(runs, axis=-1, out=runs)
+    rank = np.empty_like(runs)
+    rank.put(order, runs)
+    return order, rank
+
+
+def _best_prefix(
+    tables: _Tables, e: np.ndarray, job: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theorem 4 for the entries ``(job[i], e[i])``, ``e = e^alpha - 1``;
+    ``job=None`` when table row ``i`` is entry ``i``'s.
+
+    Returns the ``(entries, pairs)`` log values, the ``(2, entries,
+    pairs)`` sums ``Q`` and ``D``, and the ``(entries, pairs, n)`` subset
+    masks.  An entry's results depend only on its own table row and
+    ``e``, so they are the same bits however entries are chunked or
+    mixed."""
+    rows, prefix, rank, totals = tables
+    if job is not None:
+        rows = rows.take(job, axis=1)
+        prefix = prefix.take(job, axis=1)
+        rank = rank.take(job, axis=0)
+    line = prefix * e[:, None, None]
+    line += totals[..., None]
+    best = (line[0] / line[1]).argmax(axis=-1)
+    del line  # before the re-sum: at n = 200 it is 128 MB
+    mask = rank <= best[..., None]
+    sums = (rows * mask).sum(axis=-1)
+    logs = np.log(sums * e[:, None] + totals)
+    return logs[0] - logs[1], sums, mask
+
+
+@functools.lru_cache(maxsize=64)
+def _row_starts(shape: Tuple[int, ...]) -> np.ndarray:
+    """The flat position of each last-axis row's first element in a
+    C-ordered array of ``shape``, shaped to broadcast along that axis."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1] + (1,))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_index(jobs: int, n: int) -> np.ndarray:
+    """Flat row indices into ``jobs`` stacked ``n``-state matrices of
+    every ordered row pair ``(j, k)``, ``j != k``: the ``j`` rows of every
+    matrix, then the ``k`` rows."""
+    j_idx, k_idx = np.where(~np.eye(n, dtype=bool))
+    base = np.arange(jobs)[:, None] * n
+    return np.concatenate([(base + j_idx).ravel(), (base + k_idx).ravel()])
+
+
+def _matrix_tables(stacked: np.ndarray) -> _Tables:
+    """The tables of every ordered row pair ``(j, k)``, ``j != k``, of
+    each matrix in a ``(jobs, n, n)`` stack: ``q`` is row ``j`` and ``d``
+    row ``k``, and both sum to 1, so the candidates are ``q_j > d_j``."""
+    jobs, n = stacked.shape[:2]
+    rows = stacked.reshape(-1, n).take(_pair_index(jobs, n), axis=0)
+    rows = rows.reshape(2, jobs, -1, n)
+    return _prefix_tables(rows, rows[0] > rows[1])
+
+
 def solve_pair(
-    q: np.ndarray, d: np.ndarray, alpha: float, epsilon_total: float = 1.0
+    q: np.ndarray, d: np.ndarray, alpha: float, q_total=1.0, d_total=1.0
 ) -> PairSolution:
-    """Run Algorithm 1's inner loop (lines 3-11) for one ordered pair.
+    """Theorem 4 for one ordered pair (Algorithm 1, lines 3-11).
 
     Parameters
     ----------
     q, d:
         Two rows of a (backward or forward) transition matrix.
     alpha:
-        The previous BPL / next FPL, in ``[0, log(DBL_MAX)]``.  ``alpha == 0``
-        returns a zero increment immediately (no prior leakage to
-        amplify).
-    epsilon_total:
-        Row sums (1 for stochastic rows); kept explicit so the function is
-        also correct for sub-stochastic test vectors.
+        The previous BPL / next FPL, in ``[0, log(DBL_MAX)]``.  ``alpha ==
+        0`` gives ``log(q_total / d_total)`` with the empty subset.
+    q_total, d_total:
+        The sums of ``q`` and ``d`` (1 for stochastic rows); explicit so
+        the function also solves sub-stochastic LFPs.
     """
     q = np.asarray(q, dtype=float)
     d = np.asarray(d, dtype=float)
     _check_alpha(alpha)
-    n = q.shape[0]
-    e = math.expm1(alpha)  # e^alpha - 1, accurate near zero
-    empty = np.zeros(n, dtype=bool)
-    if e == 0.0:
-        return PairSolution(0.0, 0.0, 0.0, empty, 0)
-
-    # Corollary 2: only coordinates with q_j > d_j can be in q+/d+.
-    mask = q > d
-    if not mask.any():
-        return PairSolution(0.0, 0.0, 0.0, empty, 0)
-
-    iterations = 0
-    while True:
-        iterations += 1
-        q_sum = float(q[mask].sum())
-        d_sum = float(d[mask].sum())
-        numerator = q_sum * e + epsilon_total
-        denominator = d_sum * e + epsilon_total
-        # Inequality (21): keep pairs with q_j / d_j > rho.  Written
-        # multiplication-side to stay well-defined when d_j == 0, and with
-        # >= so that float ties at huge alpha (where q_j/d_j equals the
-        # objective to machine precision) do not drop optimal elements --
-        # at exact equality inclusion leaves the objective unchanged.
-        keep = mask & (q * denominator >= d * numerator)
-        if keep.sum() == mask.sum():
-            log_value = math.log(numerator / denominator)
-            return PairSolution(log_value, q_sum, d_sum, mask, iterations)
-        if not keep.any():
-            return PairSolution(0.0, 0.0, 0.0, empty, iterations)
-        mask = keep
+    rows = np.array([q, d]).reshape(2, 1, 1, -1)
+    cand = rows[0] * d_total > rows[1] * q_total
+    tables = _prefix_tables(rows, cand, q_total, d_total)
+    values, sums, mask = _best_prefix(tables, np.array([math.expm1(alpha)]))
+    return PairSolution(
+        float(values[0, 0]), float(sums[0, 0, 0]), float(sums[1, 0, 0]), mask[0, 0]
+    )
 
 
 def solve_lfp_algorithm1(problem: LfpProblem) -> float:
     """Solve an :class:`~repro.core.lfp.LfpProblem` with Algorithm 1,
     returning the optimal log value (same interface as the baselines in
     :mod:`repro.lp`)."""
-    total = float(problem.q.sum())
-    return solve_pair(problem.q, problem.d, problem.alpha, total).log_value
+    q, d = problem.q, problem.d
+    return solve_pair(q, d, problem.alpha, q.sum(), d.sum()).log_value
 
 
 def max_log_ratio(
     matrix, alpha: float, return_pair: bool = False
 ) -> "float | Tuple[float, Optional[PairSolution]]":
     """The temporal loss function of Eq. (23)/(24): the maximum of
-    :func:`solve_pair` over all ordered row pairs of ``matrix``.
+    :func:`solve_pair` over all ordered row pairs of ``matrix`` (``P_B``
+    for ``L_B``, ``P_F`` for ``L_F``) at the previous BPL / next FPL
+    ``alpha``.  ``return_pair`` also returns the maximising
+    :class:`PairSolution` (for Theorem 5 and Algorithms 2/3), ``None``
+    when the loss is zero.
 
     When a registry is installed via
     :func:`repro.obs.instrument.install_solver_metrics`, each call counts
@@ -195,73 +285,27 @@ def max_log_ratio(
 def _max_log_ratio_impl(
     matrix, alpha: float, return_pair: bool = False
 ) -> "float | Tuple[float, Optional[PairSolution]]":
-    """Uninstrumented :func:`max_log_ratio` body.
-
-    This is lines 2 and 12 of Algorithm 1.  The sweep over row pairs is
-    batched: all ``n (n-1)`` pairs run their deletion loops simultaneously
-    on ``(pairs, n)`` numpy arrays, so a full ``n = 250`` matrix evaluates
-    in well under a second.
-
-    Parameters
-    ----------
-    matrix:
-        Transition matrix (backward ``P_B`` for ``L_B``, forward ``P_F``
-        for ``L_F``).
-    alpha:
-        Previous BPL / next FPL; must be in ``[0, log(DBL_MAX)]``.
-    return_pair:
-        When true, also return the :class:`PairSolution` achieving the
-        maximum (needed by Theorem 5 and Algorithms 2/3); ``None`` when
-        the maximum increment is zero.
-
-    Returns
-    -------
-    The loss ``L(alpha) >= 0`` (and optionally the maximising pair).
-    """
+    """Uninstrumented :func:`max_log_ratio` body: lines 2 and 12 of
+    Algorithm 1, every ordered row pair in one kernel entry."""
     _check_alpha(alpha)
     p = as_transition_matrix(matrix).array
-    n = p.shape[0]
     e = math.expm1(alpha)
-    if e == 0.0 or n == 1:
+    if e == 0.0 or p.shape[0] == 1:
         return (0.0, None) if return_pair else 0.0
 
-    # Build every ordered row pair (j, k), j != k.
-    j_idx, k_idx = np.where(~np.eye(n, dtype=bool))
-    q_rows = p[j_idx]  # shape (pairs, n)
-    d_rows = p[k_idx]
-
-    mask = q_rows > d_rows  # Corollary 2 candidates
-    active = mask.any(axis=1)
-    while True:
-        q_sums = (q_rows * mask).sum(axis=1)
-        d_sums = (d_rows * mask).sum(axis=1)
-        numerator = q_sums * e + 1.0
-        denominator = d_sums * e + 1.0
-        # >= for the same float-tie robustness as in solve_pair.
-        keep = mask & (
-            q_rows * denominator[:, None] >= d_rows * numerator[:, None]
-        )
-        changed = active & (keep.sum(axis=1) != mask.sum(axis=1))
-        if not changed.any():
-            break
-        mask = np.where(changed[:, None], keep, mask)
-        active = mask.any(axis=1)
-
-    values = np.log(numerator) - np.log(denominator)
-    values[~active] = 0.0
-    best = int(np.argmax(values))
-    best_value = float(max(values[best], 0.0))
-
+    tables = _matrix_tables(p[None])
+    values, sums, mask = _best_prefix(tables, np.array([e]))
+    best = int(np.argmax(values[0]))
+    best_value = float(max(values[0, best], 0.0))
     if not return_pair:
         return best_value
     if best_value <= 0.0:
         return 0.0, None
     pair = PairSolution(
         log_value=best_value,
-        q_sum=float(q_sums[best]),
-        d_sum=float(d_sums[best]),
-        subset_mask=mask[best].copy(),
-        iterations=-1,  # batched: per-pair sweep count not tracked
+        q_sum=float(sums[0, 0, best]),
+        d_sum=float(sums[1, 0, best]),
+        subset_mask=mask[0, best].copy(),
     )
     return best_value, pair
 
@@ -272,77 +316,28 @@ _BATCH_CHUNK_ELEMENTS = 4_000_000
 
 
 def max_log_ratio_batch(matrix, alphas) -> np.ndarray:
-    """Vectorised :func:`max_log_ratio` over a whole *vector* of alphas.
-
-    Evaluating the temporal loss function at ``A`` different incoming
-    leakage values runs the same deletion sweep as :func:`max_log_ratio`
-    on ``(A, pairs, n)`` arrays -- the one-job case of
-    :func:`max_log_ratio_stacked`, with bit-identical results to the
-    scalar path (same subset-selection rule, same tie-breaking, same
-    ``math.expm1``).  ``alphas`` is 1-D, each value in ``[0, log(DBL_MAX)]``;
-    the result has the same shape.
-
-    A batch of ``A`` alphas counts ``A`` towards
-    ``solver.algorithm1.solves`` when solver metrics are installed (see
-    :func:`max_log_ratio`) -- instrumented and per-alpha scalar calls
-    report comparable totals.
-    """
+    """:func:`max_log_ratio` at each of the 1-D ``alphas``, bit for bit:
+    the one-job case of :func:`max_log_ratio_stacked`.  A batch of ``A``
+    alphas counts ``A`` towards ``solver.algorithm1.solves``, like ``A``
+    scalar calls."""
     return max_log_ratio_stacked([(matrix, alphas)])[0]
 
 
-def _batch_sweep(
-    q_rows: np.ndarray,
-    d_rows: np.ndarray,
-    base_mask: np.ndarray,
-    e: np.ndarray,
-) -> np.ndarray:
-    """One chunk of the batched solvers: the deletion sweep on stacked
-    ``(A, pairs, n)`` arrays carrying one (possibly different) matrix per
-    entry, for ``A = len(e)`` strictly positive ``e^alpha - 1`` values.
-
-    Each entry's deletion sequence is independent of the rest of the
-    batch: the shared while-loop only decides how many extra sweeps a
-    converged entry sits through, and a stable subset reproduces its sums
-    (and therefore its value) identically on every extra sweep, so
-    results are bit-identical regardless of how entries are chunked or
-    mixed."""
-    mask = base_mask.copy()
-    active = mask.any(axis=2)  # (A, pairs)
-    while True:
-        q_sums = (q_rows * mask).sum(axis=2)
-        d_sums = (d_rows * mask).sum(axis=2)
-        numerator = q_sums * e[:, None] + 1.0
-        denominator = d_sums * e[:, None] + 1.0
-        # >= for the same float-tie robustness as in solve_pair.
-        keep = mask & (
-            q_rows * denominator[:, :, None] >= d_rows * numerator[:, :, None]
-        )
-        changed = active & (keep.sum(axis=2) != mask.sum(axis=2))
-        if not changed.any():
-            break
-        mask = np.where(changed[:, :, None], keep, mask)
-        active = mask.any(axis=2)
-
-    values = np.log(numerator) - np.log(denominator)
-    values[~active] = 0.0
-    return np.maximum(values.max(axis=1), 0.0)
-
-
 def max_log_ratio_stacked(jobs) -> list:
-    """Solve many ``(matrix, alphas)`` jobs in shared stacked sweeps.
+    """Solve many ``(matrix, alphas)`` jobs in one kernel call.
 
     All matrices must be the same size ``n``; entries from different jobs
-    are fused into the same ``(A, pairs, n)`` deletion sweeps, so a fleet
-    of cohorts with *different* transition structure still costs one
-    solver entry per chunk instead of one per cohort.  Per-entry
-    independence of :func:`_batch_sweep` makes each job's results
+    are fused into the same ``(entries, pairs, n)`` arrays, so a fleet of
+    cohorts with *different* transition structure still costs one solver
+    entry per chunk instead of one per cohort.  Each entry's value
+    depends only on its matrix and alpha, so every job's results are
     bit-identical to a standalone ``max_log_ratio_batch(matrix, alphas)``
     call, and every value bit-identical to the scalar
     :func:`max_log_ratio`.
 
     Each distinct ``(job, alpha)`` entry is solved once: a job's repeated
     alphas (a fleet's override rows on the group's budgets repeat their
-    group's FPL) share one sweep entry, and the values are mapped back
+    group's FPL) share one kernel entry, and the values are mapped back
     with one gather.  This is bit-safe because an entry's value depends
     only on its matrix and its float, so equal floats of one job give
     equal values; ``0.0`` and ``-0.0`` merge, and both give ``0.0``.
@@ -350,27 +345,19 @@ def max_log_ratio_stacked(jobs) -> list:
     is array operations; only ``math.expm1`` runs per distinct alpha.
 
     When solver metrics are installed, the requested alphas count towards
-    ``solver.algorithm1.solves`` and the entries swept (distinct, with
+    ``solver.algorithm1.solves`` and the entries solved (distinct, with
     ``e^alpha - 1 > 0``, on a matrix with a Corollary-2 candidate)
-    towards ``solver.algorithm1.distinct``.
-
-    Parameters
-    ----------
-    jobs:
-        Sequence of ``(matrix, alphas)`` pairs; ``alphas`` 1-D, each
-        value in ``[0, log(DBL_MAX)]``.
-
-    Returns
-    -------
-    List of arrays, one per job, each shaped like its ``alphas``.
+    towards ``solver.algorithm1.distinct``.  ``jobs`` holds ``(matrix,
+    alphas)`` pairs with 1-D ``alphas``; the result is one array per job,
+    shaped like its ``alphas``.
     """
     registry = solver_metrics()
     if registry is None:
         return _max_log_ratio_stacked_impl(jobs)[0]
     start = time.perf_counter()
-    total = swept = 0
+    total = solved = 0
     try:
-        out, swept = _max_log_ratio_stacked_impl(jobs)
+        out, solved = _max_log_ratio_stacked_impl(jobs)
         total = sum(int(values.size) for values in out)
         return out
     finally:
@@ -378,12 +365,12 @@ def max_log_ratio_stacked(jobs) -> list:
             time.perf_counter() - start
         )
         registry.counter("solver.algorithm1.solves").inc(total)
-        registry.counter("solver.algorithm1.distinct").inc(swept)
+        registry.counter("solver.algorithm1.distinct").inc(solved)
 
 
 def _max_log_ratio_stacked_impl(jobs) -> Tuple[list, int]:
     """Uninstrumented :func:`max_log_ratio_stacked` body.  Also returns
-    the number of distinct ``(job, alpha)`` entries it swept."""
+    the number of distinct ``(job, alpha)`` entries it solved."""
     arrays = []
     pieces = []
     n_ref: Optional[int] = None
@@ -412,14 +399,10 @@ def _max_log_ratio_stacked_impl(jobs) -> Tuple[list, int]:
     if n_ref == 1 or not flat.size:
         return _split(np.zeros(flat.size), pieces), 0
 
-    # np.take rather than fancy indexing: the same copies, several times
-    # faster on these small trailing axes.
-    j_idx, k_idx = np.where(~np.eye(n_ref, dtype=bool))
-    stacked = np.array(arrays)
-    q_all = np.take(stacked, j_idx, axis=1)  # (jobs, pairs, n)
-    d_all = np.take(stacked, k_idx, axis=1)
-    m_all = q_all > d_all  # Corollary 2 candidates, per job
-    live = m_all.any(axis=(1, 2))
+    tables = _matrix_tables(np.array(arrays))
+    # Candidates carry positive q, so a job whose pairs all total zero
+    # candidate q has no Corollary-2 candidate and reads 0.0 unsolved.
+    live = tables.prefix[0, :, :, -1].any(axis=1)
 
     # The distinct (job, alpha) entries.  A stable sort of the job-major
     # alphas leaves equal alphas in job order, so an entry is new where
@@ -448,16 +431,11 @@ def _max_log_ratio_stacked_impl(jobs) -> Tuple[list, int]:
     e = np.fromiter(map(math.expm1, alphas.tolist()), float, alphas.size)
     work = np.flatnonzero((e > 0.0) & live[job_of])
     values = np.zeros(alphas.size)
-    chunk = max(1, _BATCH_CHUNK_ELEMENTS // (j_idx.size * n_ref))
+    chunk = max(1, _BATCH_CHUNK_ELEMENTS // tables.rank[0].size)
     for lo in range(0, work.size, chunk):
         sel = work[lo : lo + chunk]
-        jsel = job_of[sel]
-        values[sel] = _batch_sweep(
-            np.take(q_all, jsel, axis=0),
-            np.take(d_all, jsel, axis=0),
-            np.take(m_all, jsel, axis=0),
-            e[sel],
-        )
+        solved = _best_prefix(tables, e[sel], job_of[sel])[0]
+        values[sel] = np.maximum(solved.max(axis=1), 0.0)
     if inverse is not None:
         values = np.take(values, inverse)
     return _split(values, pieces), int(work.size)

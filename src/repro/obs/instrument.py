@@ -19,12 +19,12 @@ Installed metrics:
   :func:`~repro.core.algorithm1.max_log_ratio_stacked` entry;
 * ``solver.algorithm1.distinct`` -- the ``(job, alpha)`` entries a
   :func:`~repro.core.algorithm1.max_log_ratio_stacked` call (a
-  ``max_log_ratio_batch`` call is one) actually swept, one increment per
-  call: its requested alphas less the repeats within each job, and less
-  the entries that are ``0.0`` without a sweep (``e^alpha - 1 == 0``, or
-  a matrix with no Corollary-2 candidate).  Against ``solves`` it shows
-  what the kernel's dedup saved, which a count taken at the call
-  boundary cannot see;
+  ``max_log_ratio_batch`` call is one) actually solved, one increment
+  per call: its requested alphas less the repeats within each job, and
+  less the entries that are ``0.0`` without a kernel entry (``e^alpha -
+  1 == 0``, or a matrix with no Corollary-2 candidate).  Against
+  ``solves`` it shows what the kernel's dedup saved, which a count taken
+  at the call boundary cannot see;
 * ``solver.dinkelbach.solves`` / ``solver.dinkelbach.iterations`` /
   ``solver.dinkelbach.seconds`` -- per
   :func:`~repro.lp.dinkelbach.solve_lfp_dinkelbach` call.

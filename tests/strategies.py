@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.markov import TransitionMatrix
 
-__all__ = ["stochastic_rows", "transition_matrices", "alphas"]
+__all__ = ["stochastic_rows", "transition_matrices", "alphas", "legal_alphas"]
 
 
 @st.composite
@@ -50,5 +50,27 @@ def alphas(draw):
             st.floats(1e-4, 0.1),
             st.floats(0.1, 2.0),
             st.floats(2.0, 20.0),
+        )
+    )
+
+
+#: The largest alpha every Algorithm-1 entry point accepts: log(DBL_MAX),
+#: the largest alpha whose math.expm1 is finite.
+LARGEST_ALPHA = 709.782712893384
+
+
+@st.composite
+def legal_alphas(draw):
+    """Incoming leakage values over the whole range Algorithm 1 accepts,
+    ``[0, log(DBL_MAX)]``, weighted towards 30-710, where ``e^alpha - 1``
+    swamps the ``+ 1`` of Theorem 4's objective and float ties between
+    a coordinate's ratio and the objective become common."""
+    return draw(
+        st.one_of(
+            alphas(),
+            st.floats(0.0, 30.0),
+            st.floats(30.0, LARGEST_ALPHA),
+            st.floats(30.0, LARGEST_ALPHA),
+            st.sampled_from([0.0, 30.0, 37.0, 40.0, 100.0, LARGEST_ALPHA]),
         )
     )

@@ -17,7 +17,7 @@ from repro.markov import (
     uniform_matrix,
 )
 
-from strategies import alphas, transition_matrices
+from strategies import legal_alphas, transition_matrices
 
 
 class TestBasics:
@@ -65,7 +65,7 @@ class TestRegimes:
 
 
 class TestProperties:
-    @given(transition_matrices(), alphas())
+    @given(transition_matrices(), legal_alphas())
     def test_remark1_bounds(self, m, alpha):
         loss = TemporalLossFunction(m)
         value = loss(alpha)
@@ -78,7 +78,7 @@ class TestProperties:
         values = [loss(a) for a in grid]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    @given(st.floats(0.0, 1.0), alphas())
+    @given(st.floats(0.0, 1.0), legal_alphas())
     def test_blending_toward_uniform_weakens_loss(self, weight, alpha):
         """Weakening the correlation can only reduce the loss increment."""
         base = strongest_matrix(4, seed=1)

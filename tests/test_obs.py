@@ -279,13 +279,13 @@ def test_solver_metrics_hook_install_and_restore():
 
 def test_solver_distinct_counts_swept_entries():
     """``solves`` counts the alphas a stacked call was asked for,
-    ``distinct`` the entries it swept: each job's repeats once, and no
+    ``distinct`` the entries it solved: each job's repeats once, and no
     zero alpha or matrix without a Corollary-2 candidate (both give 0.0
-    unswept).  One increment of each per call."""
+    unsolved).  One increment of each per call."""
     strong, weak = two_state_matrix(0.8, 0.1), two_state_matrix(0.6, 0.3)
     jobs = [
-        (strong, [0.3, 0.3, 0.0, 1.0]),  # swept: 0.3, 1.0
-        (weak, [0.3, 1.0, 1.0]),  # swept: 0.3, 1.0 (another job)
+        (strong, [0.3, 0.3, 0.0, 1.0]),  # solved: 0.3, 1.0
+        (weak, [0.3, 1.0, 1.0]),  # solved: 0.3, 1.0 (another job)
         (uniform_matrix(2), [0.5, 0.5]),  # no candidate: none
         (strong, []),
     ]
